@@ -2,8 +2,9 @@
 and the annihilator polynomial identity for lattice shells.
 
 Normalized shell points are never materialized; every formula runs on the
-exact rationals <y,z>/k, so nothing here depends on floating point except the
-overflow-guarded integer matmul fast path.
+exact rationals <y,z>/k.  The integers <y,z> come from one matrix product in
+the arithmetic that lattice.product_dtype proves exact (float64, int64 or
+Python ints), the same decision behind lattice.gram_products.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .exactpoly import (
     gegenbauer,
     shell_bound,
 )
-from .lattice import GramLattice, Shell, enumerate_shell
+from .lattice import GramLattice, Shell, enumerate_shell, product_dtype, worker_count
 
 __all__ = [
     "Spectrum",
@@ -70,23 +71,6 @@ def _rep_rows(S: Shell) -> list:
     return [v for v in S.vectors if v > tuple(-x for x in v)]
 
 
-def _pair_counts_python(reps, gram, k, n) -> Dict[int, int]:
-    raw: Dict[int, int] = {}
-    m = len(reps)
-    W = [
-        [sum(gram[a][b] * v[a] for a in range(n)) for b in range(n)] for v in reps
-    ]
-    for i in range(m):
-        vi = reps[i]
-        for j in range(m):
-            if i == j:
-                continue
-            wj = W[j]
-            p = sum(vi[t] * wj[t] for t in range(n))
-            raw[p] = raw.get(p, 0) + 1
-    return raw
-
-
 def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     """Exact ordered-pair counts per normalized inner product value.
 
@@ -99,58 +83,49 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
         raise ValueError("pair_distribution needs a nonempty shell")
     assert N % 2 == 0, "lattice shells are antipodal"
     k = S.k
-    n = S.lattice.n
     gram = S.lattice.gram
     reps = _rep_rows(S)
     m = len(reps)
     assert 2 * m == N
 
-    vmax = max(abs(x) for v in reps for x in v)
-    gmax = max(abs(x) for row in gram for x in row)
-    bound = (n * vmax) ** 2 * gmax
+    # cast once and form W = V G once; each block is then one product V_a W^T
+    V = np.array(reps, dtype=np.int64)
+    dtype = product_dtype(int(np.abs(V).max()), gram)
+    V = V.astype(dtype)
+    W = V @ np.array(gram, dtype=dtype)
+    block = max(1, min(m, 4_000_000 // m + 1))
 
-    if bound >= 2**62:
-        raw = _pair_counts_python(reps, gram, k, n)
+    def count_block(a):
+        # the products lie in [-k, k]; 2k+1 bincount bins cost time and
+        # memory in k, so bincount only runs while the block is at least as
+        # large, and the values that occur are sorted out otherwise
+        P = (V[a : a + block] @ W.T).ravel()
+        if 2 * k + 1 <= P.size:
+            c = np.bincount(P.astype(np.int64) + k, minlength=2 * k + 1)
+            keys = np.flatnonzero(c)
+            return keys - k, c[keys]
+        return np.unique(P, return_counts=True)
+
+    starts = range(0, m, block)
+    workers = worker_count(threads)
+    if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            tallies = list(pool.map(count_block, starts))
     else:
-        V = np.array(reps, dtype=np.int64)
-        counts_vec = np.zeros(2 * k + 1, dtype=np.int64)
-        if bound < 2**52:
-            # integer-exact float64 path, see lattice._exact_norms
-            Vf = V.astype(np.float64)
-            W = Vf @ np.array(gram, dtype=np.float64)
-            block = max(1, min(m, 4_000_000 // max(m, 1) + 1))
-            ranges = [(a, min(a + block, m)) for a in range(0, m, block)]
+        tallies = [count_block(a) for a in starts]
+    raw: Dict[int, int] = {}
+    for keys, cnts in tallies:
+        for p, c in zip(keys.tolist(), cnts.tolist()):
+            raw[int(p)] = raw.get(int(p), 0) + c
 
-            def count_block(rng):
-                a, b = rng
-                P = Vf[a:b] @ W.T
-                return np.bincount(
-                    (np.rint(P).astype(np.int64) + k).ravel(), minlength=2 * k + 1
-                )
-
-            if threads > 1 and len(ranges) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for c in pool.map(count_block, ranges):
-                        counts_vec += c
-            else:
-                for rng in ranges:
-                    counts_vec += count_block(rng)
-        else:
-            W = V @ np.array(gram, dtype=np.int64)
-            P = V @ W.T
-            counts_vec = np.bincount((P + k).ravel(), minlength=2 * k + 1)
-        counts_vec[2 * k] -= m  # drop the diagonal <v,v> = k
-        assert counts_vec[2 * k] == 0, "distinct representatives cannot be collinear"
-        assert counts_vec[0] == 0, "representatives contain no antipodal pair"
-        raw = {p - k: int(c) for p, c in enumerate(counts_vec) if c}
-
-    counts: Dict[Fraction, int] = {Fraction(-k, k): N}
-    for p in range(-(k - 1), k):
-        c = 2 * (raw.get(p, 0) + raw.get(-p, 0))
-        if c:
-            counts[Fraction(p, k)] = c
+    diagonal = raw.pop(k, 0)  # <v,v> = k once per representative
+    assert diagonal == m, "distinct representatives cannot be collinear"
+    assert -k not in raw, "representatives contain no antipodal pair"
+    counts: Dict[Fraction, int] = {Fraction(-1): N}
+    for p in sorted(set(raw) | {-p for p in raw}):
+        counts[Fraction(p, k)] = 2 * (raw.get(p, 0) + raw.get(-p, 0))
     assert sum(counts.values()) == N * (N - 1)
     return PairDistribution(k=k, size=N, counts=counts)
 

@@ -8,8 +8,10 @@ exact integer norm check, so the output is exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +29,9 @@ __all__ = [
     "SpanBasis",
     "builtin",
     "inner",
+    "product_dtype",
+    "gram_products",
+    "worker_count",
     "enumerate_shell",
     "shell_count",
     "brute_force_shell",
@@ -73,30 +78,6 @@ def _leading_minors(rows):
                 a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
         prev = piv
     return minors
-
-
-def _bareiss_det(rows) -> int:
-    """Exact determinant of an integer matrix (fraction-free, with pivoting)."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
 
 
 class GramLattice:
@@ -269,7 +250,7 @@ def builtin(name: str) -> GramLattice:
 
 
 # ---------------------------------------------------------------------------
-# inner products and exact norm batches
+# inner products: the scalar reference and the one exact batched product
 
 def inner(L: GramLattice, v: Sequence[int], w: Sequence[int]) -> int:
     """Exact inner product v^T G w in the lattice's bilinear form."""
@@ -284,32 +265,54 @@ def inner(L: GramLattice, v: Sequence[int], w: Sequence[int]) -> int:
     return total
 
 
-def _exact_norms(V: np.ndarray, gram) -> np.ndarray:
-    """Exact squared norms of the int64 rows of V under the integer form."""
-    n = V.shape[1]
-    vmax = int(np.abs(V).max()) if V.size else 0
-    gmax = max(abs(x) for row in gram for x in row)
-    bound = (n * vmax) ** 2 * gmax
+def product_dtype(vmax: int, gram) -> type:
+    """The dtype in which v^T G w is exact for integer vectors whose entries
+    are at most vmax in absolute value.
+
+    float64 while (n*vmax)**2 * max|G| < 2**52, so that every partial sum is
+    an integer below 2**53; int64 below 2**62; Python ints (object) above.
+    """
+    n = len(gram)
+    bound = (n * vmax) ** 2 * max(abs(x) for row in gram for x in row)
     if bound < 2**52:
-        # all intermediate values are integers below 2**53, so float64 matmul
-        # is exact and fast
-        Gf = np.array(gram, dtype=np.float64)
-        W = V.astype(np.float64) @ Gf
-        return np.rint(np.einsum("ij,ij->i", W, V.astype(np.float64))).astype(np.int64)
+        return np.float64
     if bound < 2**62:
-        Gi = np.array(gram, dtype=np.int64)
-        W = V @ Gi
-        return np.einsum("ij,ij->i", W, V)
-    out = np.empty(V.shape[0], dtype=object)
-    rows = V.tolist()
-    for idx, row in enumerate(rows):
-        total = 0
-        for i, vi in enumerate(row):
-            if vi:
-                gr = gram[i]
-                total += vi * sum(gr[j] * row[j] for j in range(n))
-        out[idx] = total
-    return out
+        return np.int64
+    return object
+
+
+def _int_rows(A) -> np.ndarray:
+    # a list of Python ints may hold values beyond int64, which numpy would
+    # silently turn into floats; object keeps them exact
+    return A if isinstance(A, np.ndarray) else np.array(A, dtype=object)
+
+
+def gram_products(A, gram, B=None) -> np.ndarray:
+    """Exact integers a_i^T G b_j for integer rows a_i of A and b_j of B, or
+    the squared norms a_i^T G a_i when B is None.
+
+    The result is an int64 array, or an object array of Python ints when the
+    values may not fit in int64 (see product_dtype).
+    """
+    A = _int_rows(A)
+    Bm = A if B is None else _int_rows(B)
+    vmax = max((int(np.abs(M).max()) for M in (A, Bm) if M.size), default=0)
+    dtype = product_dtype(vmax, gram)
+    Ad = A.astype(dtype)
+    W = Ad @ np.array(gram, dtype=dtype)
+    P = np.einsum("ij,ij->i", W, Ad) if B is None else W @ Bm.astype(dtype).T
+    # float64 products are exact integers here, so the cast truncates nothing
+    return P if dtype is object else P.astype(np.int64)
+
+
+def worker_count(threads: int) -> int:
+    """threads, at least 1 and at most the number of usable CPUs: the one cap
+    on every process and thread pool."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(int(threads or 1), cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +417,6 @@ def _cholesky_upper(L: GramLattice) -> np.ndarray:
         ) from None
 
 
-def _branch_worker(args):
-    gram, k, coords, partial, zflag, level = args
-    G = np.array(gram, dtype=np.float64)
-    Rm = np.linalg.cholesky(G).T
-    tol = k * 1e-6 + _FUZZ
-    return _search(Rm, k, tol, coords, partial, zflag, level)
-
-
 def enumerate_shell(
     L: GramLattice,
     k: int,
@@ -435,7 +430,7 @@ def enumerate_shell(
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    threads = max(int(threads or 1), 1)
+    threads = worker_count(threads)
     n = L.n
 
     if n == 1:
@@ -479,9 +474,9 @@ def enumerate_shell(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(L.gram, k, c, p, z, lv) for c, p, z, lv in branches]
+        search = functools.partial(_search, Rm, k, tol)
         with ProcessPoolExecutor(max_workers=min(threads, groups)) as pool:
-            for i, res in enumerate(pool.map(_branch_worker, payload)):
+            for i, res in enumerate(pool.map(search, *zip(*branches))):
                 results.append(res)
                 if on_progress:
                     on_progress(i + 1, groups)
@@ -489,7 +484,7 @@ def enumerate_shell(
     cand = np.concatenate(results) if len(results) > 1 else results[0]
     if cand.shape[0] == 0:
         return Shell(k=k, vectors=(), lattice=L)
-    norms = _exact_norms(cand, L.gram)
+    norms = gram_products(cand, L.gram)
     reps = cand[norms == k]
     if reps.shape[0] == 0:
         return Shell(k=k, vectors=(), lattice=L)
@@ -643,11 +638,7 @@ def span_of(vectors, L: GramLattice) -> SpanBasis:
             raise ValueError("vector length does not match lattice dimension")
     basis = hermite_normal_form(vectors)
     rank = len(basis)
-    gram = L.gram
-    gb = [
-        [sum(gram[a][b] * v[a] * w[b] for a in range(L.n) for b in range(L.n) if v[a] and w[b]) for w in basis]
-        for v in basis
-    ]
+    gb = gram_products(basis, L.gram, basis).tolist()
     return SpanBasis(
         rank=rank,
         basis=tuple(tuple(row) for row in basis),
@@ -656,8 +647,12 @@ def span_of(vectors, L: GramLattice) -> SpanBasis:
 
 
 def gram_det(B: SpanBasis) -> int:
-    """Exact determinant of the span's Gram matrix."""
-    return _bareiss_det(B.gram)
+    """Exact determinant of the span's Gram matrix.
+
+    A span's Gram matrix is positive definite, so elimination needs no
+    pivoting and the last leading minor is the determinant.
+    """
+    return _leading_minors(B.gram)[-1]
 
 
 def is_even(B: SpanBasis) -> bool:

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 
 
@@ -40,3 +43,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(lines):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def two_cpu_executors(monkeypatch):
+    """Pretend two usable CPUs and replace both executor classes with a serial
+    fake that records max_workers, so no process or thread is started."""
+    recorded = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers=None, **kwargs):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+    return recorded

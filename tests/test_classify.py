@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -80,6 +81,19 @@ class TestRecognizeE8:
 
 
 class TestClassify:
+    def test_e8_route_computes_span_and_closure_once(self, e8_shell, monkeypatch):
+        # the package exports a function named classify, so fetch the module
+        mod = importlib.import_module("shellbound.classify")
+        calls = []
+        for name in ("span_of", "reflection_closure"):
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        assert classify(builtin("e8"), 2, shell=e8_shell).case == E8
+        assert sorted(calls) == ["reflection_closure", "span_of"]
+
     def test_e8(self, e8_shell):
         report = classify(builtin("e8"), 2, shell=e8_shell)
         assert report.equality and report.case == E8

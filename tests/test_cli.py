@@ -143,6 +143,16 @@ class TestErrorExits:
         assert run_cli("verify-paper", "--criteria", "C99", "--quiet").returncode == 2
 
 
+class TestHugeNorm:
+    def test_spectrum_in_the_int64_regime(self, tmp_path):
+        q = 2**55
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"dim": 2, "gram": [[q, 0], [0, q]]}))
+        result = run_cli("spectrum", "--lattice", f"@{path}", "--k", str(q))
+        assert result.returncode == 0, result.stderr
+        assert parse_report(result.stdout)["result"]["pair_counts"] == {"-1/1": 4, "0/1": 8}
+
+
 class TestDeterminism:
     def test_byte_stable_runs(self):
         a = run_cli("classify", "--lattice", "e8", "--k", "2", check=True).stdout

@@ -1,5 +1,7 @@
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shellbound.design import (
@@ -12,7 +14,7 @@ from shellbound.design import (
     spectrum,
 )
 from shellbound.exactpoly import Poly, gegenbauer, shell_bound
-from shellbound.lattice import builtin, enumerate_shell, inner
+from shellbound.lattice import GramLattice, builtin, enumerate_shell, inner, product_dtype
 
 HALF = Fraction(1, 2)
 
@@ -48,6 +50,27 @@ class TestPairDistribution:
     def test_threads_do_not_change_counts(self):
         S = enumerate_shell(builtin("zn:4"), 2)
         assert pair_distribution(S).counts == pair_distribution(S, threads=2).counts
+
+    def test_threads_capped_at_usable_cpus(self, two_cpu_executors):
+        S = enumerate_shell(builtin("e8"), 6)  # 6720 vectors, several blocks
+        serial = pair_distribution(S).counts
+        assert pair_distribution(S, threads=10**6).counts == serial
+        assert two_cpu_executors == [2]
+
+    @pytest.mark.parametrize(
+        "q, dtype",
+        [(10**7, np.float64), (2**55, np.int64), (4 * 10**18, object)],
+        ids=["float64", "int64", "object"],
+    )
+    def test_cost_follows_the_shell_not_k(self, q, dtype):
+        # four vectors at norm q: only two products occur, whatever q is
+        L = GramLattice([[q, 0], [0, q]])
+        assert product_dtype(1, L.gram) is dtype
+        S = enumerate_shell(L, q)
+        start = time.perf_counter()
+        dist = pair_distribution(S)
+        assert time.perf_counter() - start < 1.0
+        assert dist.counts == {Fraction(-1): 4, Fraction(0): 8}
 
     def test_empty_shell_rejected(self):
         S = enumerate_shell(builtin("zn:2"), 3)

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellbound.exactpoly import shell_bound
 from shellbound.lattice import (
@@ -11,12 +14,14 @@ from shellbound.lattice import (
     builtin,
     enumerate_shell,
     gram_det,
+    gram_products,
     hermite_normal_form,
     inner,
     is_even,
     lattice_from_document,
     lattice_to_document,
     minimum,
+    product_dtype,
     shell_count,
     span_of,
 )
@@ -170,6 +175,51 @@ class TestEnumerateShell:
     def test_shell_count_helper(self):
         assert shell_count(builtin("zn:8"), 2) == 112
 
+    def test_threads_capped_at_usable_cpus(self, two_cpu_executors):
+        L = builtin("dn:4")
+        serial = enumerate_shell(L, 4)
+        assert enumerate_shell(L, 4, threads=10**6).vectors == serial.vectors
+        assert two_cpu_executors == [2]
+
+
+@st.composite
+def _gram_and_rows(draw, g, v):
+    """A positive definite Gram matrix with entries near g, and two row sets
+    with entries in [-v, v], one of them pinned at v."""
+    n = draw(st.integers(2, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-g, g))
+    for i in range(n):
+        # strictly diagonally dominant, hence positive definite
+        gram[i][i] = n * g + draw(st.integers(1, g))
+    rows = st.lists(st.lists(st.integers(-v, v), min_size=n, max_size=n), min_size=1, max_size=4)
+    A, B = draw(rows), draw(rows)
+    A[0][0] = v
+    return GramLattice(gram), A, B
+
+
+# (regime, Gram scale, entry bound): (n*v)**2 * max|G| lies below 2**52, in
+# [2**52, 2**62) and above 2**62 for every n in 2..4
+_REGIMES = [(np.float64, 2**4, 2**8), (np.int64, 2**10, 2**20), (object, 2**10, 2**30)]
+
+
+class TestGramProducts:
+    @pytest.mark.parametrize("dtype, g, v", _REGIMES, ids=["float64", "int64", "object"])
+    def test_matches_scalar_inner(self, dtype, g, v):
+        @settings(max_examples=40, deadline=None)
+        @given(_gram_and_rows(g, v))
+        def check(case):
+            L, A, B = case
+            assert product_dtype(v, L.gram) is dtype
+            P = gram_products(A, L.gram, B)
+            assert P.dtype == (object if dtype is object else np.int64)
+            assert P.tolist() == [[inner(L, a, b) for b in B] for a in A]
+            assert gram_products(A, L.gram).tolist() == [inner(L, a, a) for a in A]
+
+        check()
+
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("name", ["zn:2", "zn:3", "an:2", "an:3", "dn:3", "dn:4", "scaledz:2", "scaledz:9"])
@@ -236,6 +286,12 @@ class TestSpan:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             span_of([], builtin("zn:2"))
+
+    def test_entries_beyond_int64(self):
+        B = span_of([(2**70, 0), (0, 3)], builtin("zn:2"))
+        assert B.gram == ((2**140, 0), (0, 9))
+        assert all(type(x) is int for row in B.gram for x in row)
+        assert gram_det(B) == 9 * 2**140
 
 
 class TestMinimum:
