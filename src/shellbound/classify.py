@@ -40,6 +40,7 @@ __all__ = [
     "ZN",
     "E8",
     "NONE",
+    "CertificationError",
     "EqualityReport",
     "SpanClassification",
     "check_equality",
@@ -54,6 +55,10 @@ RANK1 = "RANK1"
 ZN = "ZN"
 E8 = "E8"
 NONE = "NONE"
+
+
+class CertificationError(RuntimeError):
+    """An equality case failed its own certificate: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,11 @@ def check_equality(L: GramLattice, k: int, shell: Optional[Shell] = None):
 
 def orthonormal_system(S: Shell):
     """One vector per antipodal pair of a norm-1 shell, verified mutually
-    orthogonal; returns the list when it has full size n, else None."""
+    orthogonal; returns those rows when there are n of them, else None."""
     if S.k != 1:
         raise ValueError("orthonormal extraction applies to norm-1 shells")
     L = S.lattice
-    reps = [v for v in S.vectors if v > tuple(-x for x in v)]
+    reps = S.vectors[len(S.vectors) // 2 :]
     if len(reps) != L.n:
         return None
     P = gram_products(reps, L.gram, reps)
@@ -103,17 +108,15 @@ def reflection_closure(S: Shell) -> bool:
     s_a(b) = b - <b,a> a."""
     if S.k != 2:
         raise ValueError("reflection closure applies to norm-2 shells")
-    if len(S.vectors) == 0:
-        return True
-    V = np.array(S.vectors, dtype=np.int64)
-    P = gram_products(V, S.lattice.gram, V)
-    members = S.vector_set
-    m = V.shape[0]
-    for i in range(m):
+    V = S.vectors
+    # |<b,a>| <= 2 between norm-2 vectors, so the products fit in int64
+    P = gram_products(V, S.lattice.gram, V).astype(np.int64)
+    for i in range(len(V)):
+        # a reflection is injective, so it maps the shell into itself exactly
+        # when its image, sorted lexicographically, is the shell
         refl = V - P[:, i : i + 1] * V[i]
-        for row in refl.tolist():
-            if tuple(row) not in members:
-                return False
+        if not np.array_equal(refl[np.lexsort(refl.T[::-1])], V):
+            return False
     return True
 
 
@@ -210,7 +213,7 @@ def classify(
     if k == 1:
         ortho = orthonormal_system(S)
         if ortho is None or not consequences_ok:
-            raise RuntimeError("norm-1 equality failed its certification; this is a bug")
+            raise CertificationError("norm-1 equality failed its certification; this is a bug")
         evidence["recognition"] = "orthonormal-system"
         evidence["orthonormal_count"] = len(ortho)
         case = ZN
@@ -227,12 +230,12 @@ def classify(
         # complete recognize_e8's certificate without computing them again
         certified = _e8_span(span) and evidence["reflection_closure"]
         if not (fr.passes and n == 8 and certified and consequences_ok):
-            raise RuntimeError("norm-2 equality failed its certification; this is a bug")
+            raise CertificationError("norm-2 equality failed its certification; this is a bug")
         case = E8
     else:
         # impossible for an integral lattice (the norm-3 filter and the
         # strength table exclude every k >= 3); reaching it means a bug
-        raise RuntimeError(f"equality reported at k={k}, n={n}, which is impossible")
+        raise CertificationError(f"equality reported at k={k}, n={n}, which is impossible")
 
     return EqualityReport(n, k, count, bound, True, case, evidence)
 

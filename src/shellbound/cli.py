@@ -8,8 +8,8 @@ All rational values are serialized as exact "p/q" strings; no floating-point
 number ever appears in a payload.  Documents are byte-stable for fixed inputs
 within a version (progress and timing go to standard error only).
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 mathematical precondition violation.
+Exit codes: 0 success, 1 verification failure (including a failed internal
+certificate), 2 input error, 3 mathematical precondition violation.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ._version import __version__
-from .classify import E8, NONE, RANK1, ZN, classify
+from .classify import E8, NONE, RANK1, ZN, CertificationError, classify
 from .design import (
     annihilator_identity_holds,
     design_strength,
@@ -133,7 +135,7 @@ def _cmd_shell(args) -> int:
     S = enumerate_shell(L, args.k, threads=args.threads)
     result = {"count": len(S.vectors), "dim": L.n}
     if args.vectors:
-        result["vectors"] = [list(v) for v in S.vectors]
+        result["vectors"] = S.vectors.tolist()
     _emit("shell", {"lattice": args.lattice, "k": args.k}, result)
     return 0
 
@@ -474,7 +476,8 @@ def _inner_tally(S) -> Counter:
     """<y,z> over all ordered pairs of the shell, diagonal included, tallied
     by value with the scalar inner product."""
     L = S.lattice
-    return Counter(inner(L, y, z) for y in S.vectors for z in S.vectors)
+    V = S.vectors.tolist()  # Python ints, as the scalar reference expects
+    return Counter(inner(L, y, z) for y in V for z in V)
 
 
 def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:
@@ -493,7 +496,7 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
             fast = ctx.shell(name, k)
             slow = brute_force_shell(L, k)
             _require(
-                fast.vectors == slow.vectors,
+                np.array_equal(fast.vectors, slow.vectors),
                 f"{name} k={k}: tree search and box search disagree",
             )
             size = len(fast.vectors)
@@ -714,18 +717,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatticeFormatError as exc:
+    except (LatticeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidGramError as exc:
+    except (InvalidGramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1
 
 
 if __name__ == "__main__":

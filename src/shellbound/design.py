@@ -65,12 +65,6 @@ class DesignReport:
     capped: bool
 
 
-def _rep_rows(S: Shell) -> list:
-    # one vector per antipodal pair: the one that is lexicographically larger
-    # than its negation
-    return [v for v in S.vectors if v > tuple(-x for x in v)]
-
-
 def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     """Exact ordered-pair counts per normalized inner product value.
 
@@ -84,12 +78,11 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     assert N % 2 == 0, "lattice shells are antipodal"
     k = S.k
     gram = S.lattice.gram
-    reps = _rep_rows(S)
-    m = len(reps)
-    assert 2 * m == N
+    # the upper half of the sorted antipodal rows holds one vector per pair
+    V = S.vectors[N // 2 :]
+    m = V.shape[0]
 
     # cast once and form W = V G once; each block is then one product V_a W^T
-    V = np.array(reps, dtype=np.int64)
     dtype = product_dtype(int(np.abs(V).max()), gram)
     V = V.astype(dtype)
     W = V @ np.array(gram, dtype=dtype)

@@ -1,20 +1,21 @@
 """Integer Gram-matrix lattices: builtin catalog, exact shell enumeration, and
 integer span computations.
 
-Vectors are plain tuples of Python ints (coordinates in the lattice basis).
-Enumeration prunes with floating point but membership is always decided by an
-exact integer norm check, so the output is exact.
+A shell is a read-only integer array with one vector per row (coordinates in
+the lattice basis), rows sorted lexicographically.  Enumeration prunes with
+floating point but membership is always decided by an exact integer norm
+check, so the output is exact.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "InvalidGramError",
     "LatticeFormatError",
     "GramLattice",
-    "LatticeVector",
     "Shell",
     "SpanBasis",
     "builtin",
@@ -43,9 +43,6 @@ __all__ = [
     "lattice_from_document",
     "lattice_to_document",
 ]
-
-LatticeVector = tuple
-
 
 class LatticeError(Exception):
     pass
@@ -125,20 +122,22 @@ class GramLattice:
         return f"GramLattice({label}, n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shell:
-    """All lattice vectors of squared norm k, canonically sorted."""
+    """All lattice vectors of squared norm k: the rows of a read-only int64
+    array (object when a coordinate exceeds int64), sorted lexicographically,
+    so row count-1-i is the negation of row i."""
 
     k: int
-    vectors: tuple
+    vectors: np.ndarray
     lattice: GramLattice
+
+    def __post_init__(self):
+        # shells are cached and shared, so nobody may write into them
+        self.vectors.flags.writeable = False
 
     def __len__(self):
         return len(self.vectors)
-
-    @cached_property
-    def vector_set(self) -> frozenset:
-        return frozenset(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -329,13 +328,14 @@ _CHUNK_ROWS = 250_000
 _FUZZ = 1e-9
 
 
-def _expand_level(Rm, C, coords, partial, zflag, level):
-    rii = Rm[level, level]
-    s = coords @ Rm[level]
-    rad = np.sqrt(np.maximum(C - partial, 0.0))
-    lo = np.ceil((-rad - s) / rii - _FUZZ)
-    hi = np.floor((rad - s) / rii + _FUZZ)
+def _children(coords, zflag, lo, hi, col):
+    """Repeat each frontier row once per integer in [lo, hi] (only >= 0 where
+    zflag is set) and write that integer into column col.  Returns (parent
+    row, value, child row) arrays, or None when every interval is empty."""
     lo = np.where(zflag, np.maximum(lo, 0.0), lo)
+    if np.abs(lo).max() >= 2**53 or np.abs(hi).max() >= 2**53:
+        # past 2**53 float64 skips integers, so intervals would lose candidates
+        raise ValueError("shell coordinates reach 2**53, too large to enumerate exactly")
     cnt = (hi - lo + 1).astype(np.int64)
     np.maximum(cnt, 0, out=cnt)
     total = int(cnt.sum())
@@ -344,16 +344,28 @@ def _expand_level(Rm, C, coords, partial, zflag, level):
     idx = np.repeat(np.arange(coords.shape[0]), cnt)
     offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     vals = lo[idx] + offs
-    newc = coords[idx]
-    newc = np.ascontiguousarray(newc)
-    newc[:, level] = vals.astype(np.int64)
+    newc = np.ascontiguousarray(coords[idx])
+    newc[:, col] = vals.astype(np.int64)
+    return idx, vals, newc
+
+
+def _expand_level(Rm, C, coords, partial, zflag, level):
+    rii = Rm[level, level]
+    s = coords @ Rm[level]
+    rad = np.sqrt(np.maximum(C - partial, 0.0))
+    lo = np.ceil((-rad - s) / rii - _FUZZ)
+    hi = np.floor((rad - s) / rii + _FUZZ)
+    ch = _children(coords, zflag, lo, hi, level)
+    if ch is None:
+        return None
+    idx, vals, newc = ch
     t = rii * vals + s[idx]
     newp = partial[idx] + t * t
     newz = zflag[idx] & (vals == 0)
     return newc, newp, newz
 
 
-def _bottom_candidates(Rm, k, tol, coords, partial, zflag):
+def _bottom_candidates(Rm, k, tol, coords, partial, zflag) -> list:
     r00 = Rm[0, 0]
     s = coords @ Rm[0]
     hi2 = (k + tol) - partial
@@ -364,27 +376,15 @@ def _bottom_candidates(Rm, k, tol, coords, partial, zflag):
     for lob, hib in ((lot, hit), (-hit, -lot)):
         lo = np.ceil((lob - s) / r00 - _FUZZ)
         hi = np.floor((hib - s) / r00 + _FUZZ)
-        lo = np.where(zflag, np.maximum(lo, 0.0), lo)
-        cnt = (hi - lo + 1).astype(np.int64)
-        np.maximum(cnt, 0, out=cnt)
-        total = int(cnt.sum())
-        if total == 0:
-            continue
-        idx = np.repeat(np.arange(coords.shape[0]), cnt)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        vals = lo[idx] + offs
-        newc = np.ascontiguousarray(coords[idx])
-        newc[:, 0] = vals.astype(np.int64)
-        pieces.append(newc)
-    if not pieces:
-        return None
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        ch = _children(coords, zflag, lo, hi, 0)
+        if ch is not None:
+            pieces.append(ch[2])
+    return pieces
 
 
 def _search(Rm, k, tol, coords, partial, zflag, level):
     """Candidate representatives below the given frontier, as an int64 array."""
-    n = Rm.shape[0]
-    out = []
+    out = [np.empty((0, Rm.shape[0]), dtype=np.int64)]  # when nothing is found
     stack = [(coords, partial, zflag, level)]
     while stack:
         c, p, z, lv = stack.pop()
@@ -393,17 +393,13 @@ def _search(Rm, k, tol, coords, partial, zflag, level):
                 stack.append((c[a : a + _CHUNK_ROWS], p[a : a + _CHUNK_ROWS], z[a : a + _CHUNK_ROWS], lv))
             continue
         if lv == 0:
-            cand = _bottom_candidates(Rm, k, tol, c, p, z)
-            if cand is not None:
-                out.append(cand)
+            out.extend(_bottom_candidates(Rm, k, tol, c, p, z))
             continue
         ex = _expand_level(Rm, k + tol, c, p, z, lv)
         if ex is None:
             continue
         stack.append((ex[0], ex[1], ex[2], lv - 1))
-    if not out:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(out) if len(out) > 1 else out[0]
+    return np.concatenate(out)
 
 
 def _cholesky_upper(L: GramLattice) -> np.ndarray:
@@ -433,13 +429,15 @@ def enumerate_shell(
     threads = worker_count(threads)
     n = L.n
 
+    empty = Shell(k=k, vectors=np.empty((0, n), dtype=np.int64), lattice=L)
+
     if n == 1:
         q = L.gram[0][0]
-        vectors = ()
-        if k % q == 0:
-            r = math.isqrt(k // q)
-            if r * r * q == k:
-                vectors = ((-r,), (r,))
+        r = math.isqrt(k // q)
+        if r * r * q != k:
+            return empty
+        # numpy would pick float64 for [-2**63, 2**63]; object keeps r exact
+        vectors = np.array([[-r], [r]], dtype=np.int64 if r < 2**63 else object)
         return Shell(k=k, vectors=vectors, lattice=L)
 
     Rm = _cholesky_upper(L)
@@ -454,7 +452,7 @@ def enumerate_shell(
     while level > 1 and coords.shape[0] < target:
         ex = _expand_level(Rm, k + tol, coords, partial, zflag, level)
         if ex is None:
-            return Shell(k=k, vectors=(), lattice=L)
+            return empty
         coords, partial, zflag = ex
         level -= 1
 
@@ -482,16 +480,8 @@ def enumerate_shell(
                     on_progress(i + 1, groups)
 
     cand = np.concatenate(results) if len(results) > 1 else results[0]
-    if cand.shape[0] == 0:
-        return Shell(k=k, vectors=(), lattice=L)
-    norms = gram_products(cand, L.gram)
-    reps = cand[norms == k]
-    if reps.shape[0] == 0:
-        return Shell(k=k, vectors=(), lattice=L)
-    full = np.concatenate([reps, -reps])
-    full = np.unique(full, axis=0)
-    vectors = tuple(tuple(int(x) for x in row) for row in full.tolist())
-    return Shell(k=k, vectors=vectors, lattice=L)
+    reps = cand[gram_products(cand, L.gram) == k]
+    return Shell(k=k, vectors=np.unique(np.concatenate([reps, -reps]), axis=0), lattice=L)
 
 
 def shell_count(L: GramLattice, k: int, threads: int = 1) -> int:
@@ -506,6 +496,9 @@ def shell_count(L: GramLattice, k: int, threads: int = 1) -> int:
 # rational lower bound on the smallest eigenvalue of the Gram matrix obtained
 # by bisection with integer positive-definiteness tests.  Shares nothing with
 # the tree search above; intended for cross-checking it on small dimensions.
+
+_ORACLE_BLOCK_ROWS = 250_000
+
 
 def _eigen_lower_bound(L: GramLattice) -> Fraction:
     gram = L.gram
@@ -547,7 +540,7 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
 
     # assign leading coordinates explicitly so each grid chunk stays small
     lead = 0
-    while side ** (n - lead) > 2_000_000 and lead < n - 1:
+    while side ** (n - lead) > _ORACLE_BLOCK_ROWS and lead < n - 1:
         lead += 1
 
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -561,23 +554,13 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
         block[:, lead:] = tail
         Bf = block.astype(np.float64)
         norms = np.rint(np.einsum("ij,ij->i", Bf @ Gf, Bf)).astype(np.int64)
-        match = block[norms == k]
-        if match.size:
-            hits.append(match)
+        hits.append(block[norms == k])
 
-    if lead == 0:
-        scan(())
-    else:
-        import itertools
+    # with lead == 0 the product yields one empty prefix: the whole box
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=lead):
+        scan(np.array(prefix, dtype=np.int64))
 
-        for prefix in itertools.product(range(-bound, bound + 1), repeat=lead):
-            scan(np.array(prefix, dtype=np.int64))
-
-    if not hits:
-        return Shell(k=k, vectors=(), lattice=L)
-    allv = np.unique(np.concatenate(hits), axis=0)
-    vectors = tuple(tuple(int(x) for x in row) for row in allv.tolist())
-    return Shell(k=k, vectors=vectors, lattice=L)
+    return Shell(k=k, vectors=np.unique(np.concatenate(hits), axis=0), lattice=L)
 
 
 # ---------------------------------------------------------------------------

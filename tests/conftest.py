@@ -1,7 +1,10 @@
 import concurrent.futures
 import os
+from pathlib import Path
 
 import pytest
+
+import shellbound
 
 
 def pytest_addoption(parser):
@@ -68,3 +71,12 @@ def two_cpu_executors(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
     return recorded
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """`python -m shellbound` in a subprocess imports the package under test,
+    also when pytest alone put it on sys.path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(shellbound.__file__).parents[1]), prepend=os.pathsep)
+        yield

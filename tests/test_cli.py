@@ -1,9 +1,11 @@
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from shellbound import cli
 from shellbound.lattice import builtin, lattice_to_document
 
 
@@ -142,6 +144,15 @@ class TestErrorExits:
     def test_unknown_criterion_id(self):
         assert run_cli("verify-paper", "--criteria", "C99", "--quiet").returncode == 2
 
+    def test_failed_certificate(self, monkeypatch, capsys):
+        # the package exports a function named classify, so fetch the module
+        mod = importlib.import_module("shellbound.classify")
+        monkeypatch.setattr(mod, "orthonormal_system", lambda S: None)
+        assert cli.main(["classify", "--lattice", "zn:2", "--k", "1", "--threads", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "certification" in err
+
 
 class TestHugeNorm:
     def test_spectrum_in_the_int64_regime(self, tmp_path):
@@ -151,6 +162,18 @@ class TestHugeNorm:
         result = run_cli("spectrum", "--lattice", f"@{path}", "--k", str(q))
         assert result.returncode == 0, result.stderr
         assert parse_report(result.stdout)["result"]["pair_counts"] == {"-1/1": 4, "0/1": 8}
+
+    def test_rank_one_spectrum_beyond_int64(self):
+        result = run_cli("spectrum", "--lattice", "scaledz:1", "--k", str(10**40))
+        assert result.returncode == 0, result.stderr
+        assert parse_report(result.stdout)["result"]["pair_counts"] == {"-1/1": 2}
+
+    def test_coordinates_past_float64_integers_exit_3(self):
+        # the true count is 4 (+-2**63 e_i); it must not be reported as 0
+        result = run_cli("shell", "--lattice", "zn:2", "--k", str(2**126))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
 
 
 class TestDeterminism:

@@ -81,8 +81,9 @@ class TestPairDistribution:
         S = enumerate_shell(builtin("an:3"), 2)
         L = S.lattice
         naive = {}
-        for y in S.vectors:
-            for z in S.vectors:
+        V = S.vectors.tolist()
+        for y in V:
+            for z in V:
                 if y == z:
                     continue
                 u = Fraction(inner(L, y, z), S.k)
@@ -194,7 +195,7 @@ class TestAntipodalBound:
     @pytest.mark.parametrize("name,k", [("zn:4", 1), ("dn:4", 2), ("an:3", 2), ("zn:3", 3)])
     def test_chain_on_catalog(self, name, k):
         S = enumerate_shell(builtin(name), k)
-        if not S.vectors:
+        if len(S.vectors) == 0:
             return
         s = len(spectrum(S).values)
         n = S.lattice.n

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,14 +120,14 @@ class TestEnumerateShell:
     def test_cubic_norm_one(self):
         S = enumerate_shell(builtin("zn:4"), 1)
         assert len(S.vectors) == 8
-        assert set(S.vectors) == {
+        assert set(map(tuple, S.vectors.tolist())) == {
             tuple(s if j == i else 0 for j in range(4))
             for i in range(4)
             for s in (1, -1)
         }
 
     def test_empty_shell(self):
-        assert enumerate_shell(builtin("zn:2"), 3).vectors == ()
+        assert enumerate_shell(builtin("zn:2"), 3).vectors.tolist() == []
 
     def test_e8_roots(self):
         assert len(enumerate_shell(builtin("e8"), 2).vectors) == 240
@@ -136,15 +137,16 @@ class TestEnumerateShell:
 
     def test_rank_one(self):
         L = builtin("scaledz:4")
-        assert enumerate_shell(L, 4).vectors == ((-1,), (1,))
-        assert enumerate_shell(L, 16).vectors == ((-2,), (2,))
-        assert enumerate_shell(L, 2).vectors == ()
+        assert enumerate_shell(L, 4).vectors.tolist() == [[-1], [1]]
+        assert enumerate_shell(L, 16).vectors.tolist() == [[-2], [2]]
+        assert enumerate_shell(L, 2).vectors.tolist() == []
 
     def test_canonical_order_and_antipodality(self):
         S = enumerate_shell(builtin("dn:4"), 2)
-        assert list(S.vectors) == sorted(S.vectors)
-        members = set(S.vectors)
-        for v in S.vectors:
+        rows = S.vectors.tolist()
+        assert rows == sorted(rows)
+        members = set(map(tuple, rows))
+        for v in rows:
             assert tuple(-x for x in v) in members
 
     def test_norms_exact(self):
@@ -157,7 +159,7 @@ class TestEnumerateShell:
         L = builtin("dn:4")
         serial = enumerate_shell(L, 4)
         parallel = enumerate_shell(L, 4, threads=2)
-        assert serial.vectors == parallel.vectors
+        assert np.array_equal(serial.vectors, parallel.vectors)
 
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
@@ -170,7 +172,13 @@ class TestEnumerateShell:
         q = 4 * 10**18
         L = GramLattice([[q, 0], [0, q]])
         S = enumerate_shell(L, q)
-        assert set(S.vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert S.vectors.tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+
+    def test_coordinates_past_float64_integers_rejected(self):
+        # the shell is +-2**63 e_i; float64 intervals could not list every
+        # integer out there, so enumeration refuses instead of missing them
+        with pytest.raises(ValueError):
+            enumerate_shell(builtin("zn:2"), 2**126)
 
     def test_shell_count_helper(self):
         assert shell_count(builtin("zn:8"), 2) == 112
@@ -178,7 +186,7 @@ class TestEnumerateShell:
     def test_threads_capped_at_usable_cpus(self, two_cpu_executors):
         L = builtin("dn:4")
         serial = enumerate_shell(L, 4)
-        assert enumerate_shell(L, 4, threads=10**6).vectors == serial.vectors
+        assert np.array_equal(enumerate_shell(L, 4, threads=10**6).vectors, serial.vectors)
         assert two_cpu_executors == [2]
 
 
@@ -221,12 +229,42 @@ class TestGramProducts:
         check()
 
 
+_SHELL_CASES = [(name, k) for name in ("zn:2", "an:3", "dn:4", "e8", "scaledz:4") for k in range(1, 5)]
+
+
+class TestShellArray:
+    # zn:2 at k=3 and scaledz:4 at k=1..3 are empty; scaledz:1 at 2**126 and
+    # 10**40 has coordinates beyond int64
+    @pytest.mark.parametrize(
+        "name, k", _SHELL_CASES + [("scaledz:1", 2**126), ("scaledz:1", 10**40)]
+    )
+    def test_invariants(self, name, k):
+        S = enumerate_shell(builtin(name), k)
+        V = S.vectors
+        with pytest.raises(ValueError):
+            V[...] = 0
+        rows = V.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert np.array_equal(V[::-1], -V)
+        assert (gram_products(V, S.lattice.gram) == k).all()
+        assert V.dtype == (object if k >= 2**126 else np.int64)
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize("name", ["zn:2", "zn:3", "an:2", "an:3", "dn:3", "dn:4", "scaledz:2", "scaledz:9"])
     @pytest.mark.parametrize("k", range(1, 5))
     def test_agreement(self, name, k):
         L = builtin(name)
-        assert enumerate_shell(L, k).vectors == brute_force_shell(L, k).vectors
+        assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
+
+    def test_scan_memory_stays_bounded(self):
+        tracemalloc.start()
+        try:
+            brute_force_shell(builtin("an:6"), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_counts_below_bound(self):
         for name in ("zn:4", "an:3", "dn:5"):
