@@ -32,6 +32,7 @@ from .lattice import (
     gram_det,
     gram_products,
     is_even,
+    sort_rows,
     span_of,
 )
 
@@ -115,7 +116,7 @@ def reflection_closure(S: Shell) -> bool:
         # a reflection is injective, so it maps the shell into itself exactly
         # when its image, sorted lexicographically, is the shell
         refl = V - P[:, i : i + 1] * V[i]
-        if not np.array_equal(refl[np.lexsort(refl.T[::-1])], V):
+        if not np.array_equal(sort_rows(refl), V):
             return False
     return True
 
@@ -171,7 +172,7 @@ def classify(
     spectrum, strength and tightness, the annihilator identity, and the
     recognition route.  Non-equality reports name the exclusion mechanism.
     """
-    S = shell if shell is not None else enumerate_shell(L, k, threads=threads)
+    S = shell if shell is not None else enumerate_shell(L, k)
     n = L.n
     count, bound, equality = check_equality(L, k, shell=S)
     evidence: Dict = {}
@@ -250,7 +251,7 @@ def classify_shell_generated(
     span.  S_k(M) = S_k(L), so the shell saturates the rank-r bound iff M is
     an equality case, and then M is a scaled line, the cubic lattice, or the
     rank-8 root lattice."""
-    S = shell if shell is not None else enumerate_shell(L, k, threads=threads)
+    S = shell if shell is not None else enumerate_shell(L, k)
     if len(S.vectors) == 0:
         raise ValueError("classification needs a nonempty shell")
     span = span_of(S.vectors, L)

@@ -132,7 +132,7 @@ def _positive_int(text: str) -> int:
 def _cmd_shell(args) -> int:
     L = _load_lattice(args.lattice)
     _maybe_dump(L, args.dump)
-    S = enumerate_shell(L, args.k, threads=args.threads)
+    S = enumerate_shell(L, args.k)
     result = {"count": len(S.vectors), "dim": L.n}
     if args.vectors:
         result["vectors"] = S.vectors.tolist()
@@ -152,7 +152,7 @@ def _cmd_bound(args) -> int:
 def _cmd_spectrum(args) -> int:
     L = _load_lattice(args.lattice)
     _maybe_dump(L, args.dump)
-    S = enumerate_shell(L, args.k, threads=args.threads)
+    S = enumerate_shell(L, args.k)
     dist = pair_distribution(S, threads=args.threads)
     sp = spectrum(S, distribution=dist)
     result = {
@@ -167,7 +167,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_design(args) -> int:
     L = _load_lattice(args.lattice)
     _maybe_dump(L, args.dump)
-    S = enumerate_shell(L, args.k, threads=args.threads)
+    S = enumerate_shell(L, args.k)
     dist = pair_distribution(S, threads=args.threads)
     report = design_strength(S, t_max=args.tmax, distribution=dist)
     result = {
@@ -257,12 +257,7 @@ class VerifyContext:
     def shell(self, name: str, k: int):
         key = (name, k)
         if key not in self._shells:
-            L = self.lattice(name)
-            progress = None
-            if self.verbose and L.n >= 16 and k >= 2:
-                def progress(done, total, _name=name, _k=k):
-                    print(f"  enumerating {_name} k={_k}: {done}/{total} branches", file=sys.stderr, flush=True)
-            self._shells[key] = enumerate_shell(L, k, threads=self.threads, on_progress=progress)
+            self._shells[key] = enumerate_shell(self.lattice(name), k)
         return self._shells[key]
 
 
@@ -650,7 +645,8 @@ def _add_lattice_args(sub) -> None:
     sub.add_argument("--lattice", required=True,
                      help="builtin name (zn:N, an:N, dn:N, e8, leech, scaledz:Q) or @path to a lattice file")
     sub.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                     help="worker processes/threads for heavy steps, at most the usable CPUs (default: all cores)")
+                     help="threads for the pair distribution (spectrum, design, classify), "
+                          "at most the usable CPUs (default: all cores)")
     sub.add_argument("--dump", metavar="PATH", default=None,
                      help="also write the parsed lattice as a document to PATH")
 

@@ -9,14 +9,12 @@ check, so the output is exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -305,8 +303,8 @@ def gram_products(A, gram, B=None) -> np.ndarray:
 
 
 def worker_count(threads: int) -> int:
-    """threads, at least 1 and at most the number of usable CPUs: the one cap
-    on every process and thread pool."""
+    """threads, at least 1 and at most the number of usable CPUs: the cap on
+    the pair kernel's thread pool, the only pool."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -317,12 +315,14 @@ def worker_count(threads: int) -> int:
 # ---------------------------------------------------------------------------
 # shell enumeration
 #
-# Depth-first enumeration in the Cholesky frame, processed level by level on
-# whole numpy frontiers instead of one vector at a time.  Pruning radii carry
-# a small relative slack so no true solution is lost to rounding; every
-# candidate is then checked exactly.  Antipodal halving keeps one vector per
-# +-pair (the highest-index nonzero coordinate is positive) and the mirror is
-# restored after verification.
+# One depth-first search in the Cholesky frame, run in this process from the
+# root and processed level by level on whole numpy frontiers instead of one
+# vector at a time; frontiers above _CHUNK_ROWS rows are searched in chunks so
+# memory stays bounded.  Pruning radii carry a small relative slack so no true
+# solution is lost to rounding; every candidate is then checked exactly.
+# Antipodal halving keeps one vector per +-pair (the highest-index nonzero
+# coordinate is positive) and the mirror is restored after verification.
+# Every candidate is produced once, so sorting alone makes the order canonical.
 
 _CHUNK_ROWS = 250_000
 _FUZZ = 1e-9
@@ -368,14 +368,16 @@ def _expand_level(Rm, C, coords, partial, zflag, level):
 def _bottom_candidates(Rm, k, tol, coords, partial, zflag) -> list:
     r00 = Rm[0, 0]
     s = coords @ Rm[0]
-    hi2 = (k + tol) - partial
-    lo2 = np.maximum((k - tol) - partial, 0.0)
-    hit = np.sqrt(np.maximum(hi2, 0.0))
-    lot = np.sqrt(lo2)
+    hit = np.sqrt(np.maximum((k + tol) - partial, 0.0))
+    lot = np.sqrt(np.maximum((k - tol) - partial, 0.0))
+    up_lo = np.ceil((lot - s) / r00 - _FUZZ)
+    up_hi = np.floor((hit - s) / r00 + _FUZZ)
+    down_lo = np.ceil((-hit - s) / r00 - _FUZZ)
+    # the lower interval ends below the upper one, so an integer in both (the
+    # middle one when the inner radius is 0) is emitted once; the union holds
+    down_hi = np.minimum(np.floor((-lot - s) / r00 + _FUZZ), up_lo - 1)
     pieces = []
-    for lob, hib in ((lot, hit), (-hit, -lot)):
-        lo = np.ceil((lob - s) / r00 - _FUZZ)
-        hi = np.floor((hib - s) / r00 + _FUZZ)
+    for lo, hi in ((up_lo, up_hi), (down_lo, down_hi)):
         ch = _children(coords, zflag, lo, hi, 0)
         if ch is not None:
             pieces.append(ch[2])
@@ -413,117 +415,69 @@ def _cholesky_upper(L: GramLattice) -> np.ndarray:
         ) from None
 
 
-def enumerate_shell(
-    L: GramLattice,
-    k: int,
-    threads: int = 1,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-) -> Shell:
+def sort_rows(V: np.ndarray) -> np.ndarray:
+    """The rows of V in lexicographic order, the canonical order of a shell.
+
+    Needs distinct rows to be canonical; unlike np.unique it removes none.
+    """
+    return V[np.lexsort(V.T[::-1])]
+
+
+def enumerate_shell(L: GramLattice, k: int) -> Shell:
     """All lattice vectors of squared norm exactly k, sorted lexicographically.
 
-    threads > 1 splits the search across worker processes; the output is
-    identical regardless of schedule because it is sorted at the end.
+    One depth-first search from the root in this process; candidates are
+    kept only after the exact integer norm check.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    threads = worker_count(threads)
     n = L.n
-
-    empty = Shell(k=k, vectors=np.empty((0, n), dtype=np.int64), lattice=L)
 
     if n == 1:
         q = L.gram[0][0]
         r = math.isqrt(k // q)
         if r * r * q != k:
-            return empty
+            return Shell(k=k, vectors=np.empty((0, 1), dtype=np.int64), lattice=L)
         # numpy would pick float64 for [-2**63, 2**63]; object keeps r exact
         vectors = np.array([[-r], [r]], dtype=np.int64 if r < 2**63 else object)
         return Shell(k=k, vectors=vectors, lattice=L)
 
     Rm = _cholesky_upper(L)
     tol = k * 1e-6 + _FUZZ
-    coords = np.zeros((1, n), dtype=np.int64)
-    partial = np.zeros(1, dtype=np.float64)
-    zflag = np.ones(1, dtype=bool)
-    level = n - 1
-
-    # grow the frontier a little so work can be split into branches
-    target = max(8, threads * 4)
-    while level > 1 and coords.shape[0] < target:
-        ex = _expand_level(Rm, k + tol, coords, partial, zflag, level)
-        if ex is None:
-            return empty
-        coords, partial, zflag = ex
-        level -= 1
-
-    rows = coords.shape[0]
-    groups = min(rows, target)
-    sel = np.arange(rows) % groups
-    branches = [
-        (coords[sel == g], partial[sel == g], zflag[sel == g], level) for g in range(groups)
-    ]
-
-    results = []
-    if threads == 1 or groups == 1:
-        for i, (c, p, z, lv) in enumerate(branches):
-            results.append(_search(Rm, k, tol, c, p, z, lv))
-            if on_progress:
-                on_progress(i + 1, groups)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        search = functools.partial(_search, Rm, k, tol)
-        with ProcessPoolExecutor(max_workers=min(threads, groups)) as pool:
-            for i, res in enumerate(pool.map(search, *zip(*branches))):
-                results.append(res)
-                if on_progress:
-                    on_progress(i + 1, groups)
-
-    cand = np.concatenate(results) if len(results) > 1 else results[0]
+    cand = _search(
+        Rm, k, tol, np.zeros((1, n), dtype=np.int64), np.zeros(1), np.ones(1, dtype=bool), n - 1
+    )
     reps = cand[gram_products(cand, L.gram) == k]
-    return Shell(k=k, vectors=np.unique(np.concatenate([reps, -reps]), axis=0), lattice=L)
+    return Shell(k=k, vectors=sort_rows(np.concatenate([reps, -reps])), lattice=L)
 
 
-def shell_count(L: GramLattice, k: int, threads: int = 1) -> int:
+def shell_count(L: GramLattice, k: int) -> int:
     """Number of lattice vectors of squared norm exactly k."""
-    return len(enumerate_shell(L, k, threads=threads))
+    return len(enumerate_shell(L, k))
 
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracle
 #
-# Scans the full coordinate box |x_i| <= sqrt(k / c), where c is an exact
-# rational lower bound on the smallest eigenvalue of the Gram matrix obtained
-# by bisection with integer positive-definiteness tests.  Shares nothing with
-# the tree search above; intended for cross-checking it on small dimensions.
+# Scans the integer box |x_i| <= b_i = isqrt(k * cof_ii // det G), where
+# cof_ii / det G = (G^-1)_ii comes from exact principal minors: Cauchy-Schwarz
+# in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the box holds every
+# vector of norm k.  Shares nothing with the tree search above; intended for
+# cross-checking it on small dimensions.
 
 _ORACLE_BLOCK_ROWS = 250_000
 
 
-def _eigen_lower_bound(L: GramLattice) -> Fraction:
-    gram = L.gram
-    n = L.n
-
-    def is_pd_shift(c: Fraction) -> bool:
-        # positive definiteness of gram - c*I via the integer matrix q*gram - p*I
-        p, q = c.numerator, c.denominator
-        shifted = [
-            [q * gram[i][j] - (p if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        return all(m > 0 for m in _leading_minors(shifted))
-
-    lo = Fraction(0)
-    hi = Fraction(min(gram[i][i] for i in range(n)))
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if is_pd_shift(mid):
-            lo = mid
-        else:
-            hi = mid
-        if lo > 0 and hi - lo < lo / 8:
-            break
-    assert lo > 0, "bisection failed to certify a positive eigenvalue bound"
-    return lo
+def _box_bounds(L: GramLattice, k: int) -> list:
+    """b_i, per coordinate i, with |x_i| <= b_i on the norm-k shell."""
+    det = _leading_minors(L.gram)[-1]
+    bounds = []
+    for i in range(L.n):
+        # the principal minor without row and column i (1 for rank 1)
+        rest = [row[:i] + row[i + 1 :] for row in L.gram[:i] + L.gram[i + 1 :]]
+        cof = _leading_minors(rest)[-1] if rest else 1
+        bounds.append(math.isqrt(k * cof // det))
+    return bounds
 
 
 def brute_force_shell(L: GramLattice, k: int) -> Shell:
@@ -531,20 +485,18 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     n = L.n
-    c = _eigen_lower_bound(L)
-    bound = math.isqrt((k * c.denominator) // c.numerator)
-    side = 2 * bound + 1
+    bounds = _box_bounds(L, k)
     gmax = max(abs(x) for row in L.gram for x in row)
-    assert (n * bound) ** 2 * gmax < 2**52, "box too large for exact float64 scan"
+    assert (n * max(bounds)) ** 2 * gmax < 2**52, "box too large for exact float64 scan"
     Gf = np.array(L.gram, dtype=np.float64)
+    ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 
     # assign leading coordinates explicitly so each grid chunk stays small
     lead = 0
-    while side ** (n - lead) > _ORACLE_BLOCK_ROWS and lead < n - 1:
+    while math.prod(len(r) for r in ranges[lead:]) > _ORACLE_BLOCK_ROWS and lead < n - 1:
         lead += 1
 
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * (n - lead)), indexing="ij")
+    grids = np.meshgrid(*ranges[lead:], indexing="ij")
     tail = np.stack([g.ravel() for g in grids], axis=1)
     hits = []
 
@@ -557,10 +509,11 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
         hits.append(block[norms == k])
 
     # with lead == 0 the product yields one empty prefix: the whole box
-    for prefix in itertools.product(range(-bound, bound + 1), repeat=lead):
+    for prefix in itertools.product(*(r.tolist() for r in ranges[:lead])):
         scan(np.array(prefix, dtype=np.int64))
 
-    return Shell(k=k, vectors=np.unique(np.concatenate(hits), axis=0), lattice=L)
+    # the blocks are disjoint, so the hits are distinct
+    return Shell(k=k, vectors=sort_rows(np.concatenate(hits)), lattice=L)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def two_cpu_executors(monkeypatch):
-    """Pretend two usable CPUs and replace both executor classes with a serial
-    fake that records max_workers, so no process or thread is started."""
+    """Pretend two usable CPUs and replace the thread pool with a serial fake
+    that records max_workers, so no thread is started."""
     recorded = []
 
     class SerialExecutor:
@@ -68,7 +68,6 @@ def two_cpu_executors(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
     return recorded
 

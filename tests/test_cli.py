@@ -1,5 +1,7 @@
+import concurrent.futures
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -186,6 +188,18 @@ class TestDeterminism:
         a = run_cli("spectrum", "--lattice", "dn:4", "--k", "2", "--threads", "1", check=True).stdout
         b = run_cli("spectrum", "--lattice", "dn:4", "--k", "2", "--threads", "2", check=True).stdout
         assert a == b
+
+
+class TestNoProcessPool:
+    def test_threads_start_no_process(self, monkeypatch):
+        # with two usable CPUs, --threads 2 may use threads but never processes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert cli.main(["classify", "--lattice", "e8", "--k", "2", "--threads", "2"]) == 0
+        assert cli.main(["shell", "--lattice", "dn:4", "--k", "4", "--threads", "2"]) == 0
 
 
 class TestDumpRoundTrip:

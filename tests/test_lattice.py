@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shellbound.cli import _C11_BUILTINS
 from shellbound.exactpoly import shell_bound
 from shellbound.lattice import (
     GramLattice,
@@ -26,6 +28,7 @@ from shellbound.lattice import (
     shell_count,
     span_of,
 )
+from shellbound.lattice import _FUZZ, _box_bounds, _cholesky_upper, _search
 
 
 class TestGramLattice:
@@ -155,12 +158,6 @@ class TestEnumerateShell:
             for v in enumerate_shell(L, k).vectors:
                 assert inner(L, v, v) == k
 
-    def test_deterministic_across_threads(self):
-        L = builtin("dn:4")
-        serial = enumerate_shell(L, 4)
-        parallel = enumerate_shell(L, 4, threads=2)
-        assert np.array_equal(serial.vectors, parallel.vectors)
-
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             enumerate_shell(builtin("zn:2"), 0)
@@ -183,11 +180,15 @@ class TestEnumerateShell:
     def test_shell_count_helper(self):
         assert shell_count(builtin("zn:8"), 2) == 112
 
-    def test_threads_capped_at_usable_cpus(self, two_cpu_executors):
-        L = builtin("dn:4")
-        serial = enumerate_shell(L, 4)
-        assert np.array_equal(enumerate_shell(L, 4, threads=10**6).vectors, serial.vectors)
-        assert two_cpu_executors == [2]
+    @pytest.mark.parametrize("name, k", [("e8", 2), ("zn:3", 1), ("dn:4", 4), ("an:3", 2)])
+    def test_search_emits_each_candidate_once(self, name, k):
+        L = builtin(name)
+        n = L.n
+        cand = _search(
+            _cholesky_upper(L), k, k * 1e-6 + _FUZZ,
+            np.zeros((1, n), dtype=np.int64), np.zeros(1), np.ones(1, dtype=bool), n - 1,
+        )
+        assert len(np.unique(cand, axis=0)) == len(cand)
 
 
 @st.composite
@@ -256,6 +257,19 @@ class TestBruteForceOracle:
     def test_agreement(self, name, k):
         L = builtin(name)
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
+
+    @pytest.mark.parametrize("name", _C11_BUILTINS)
+    def test_box_holds_the_shell(self, name):
+        L = builtin(name)
+        for k in range(1, 7):
+            V = enumerate_shell(L, k).vectors
+            if len(V):
+                assert (np.array(_box_bounds(L, k)) >= np.abs(V).max(axis=0)).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cubic_box_is_isqrt_k(self, n):
+        for k in (1, 2, 3, 4, 9, 10):
+            assert _box_bounds(builtin(f"zn:{n}"), k) == [math.isqrt(k)] * n
 
     def test_scan_memory_stays_bounded(self):
         tracemalloc.start()
