@@ -487,7 +487,9 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
     n = L.n
     bounds = _box_bounds(L, k)
     gmax = max(abs(x) for row in L.gram for x in row)
-    assert (n * max(bounds)) ** 2 * gmax < 2**52, "box too large for exact float64 scan"
+    if (n * max(bounds)) ** 2 * gmax >= 2**52:
+        # past 2**52 the float64 norms of the scan stop being exact integers
+        raise ValueError("oracle box too large for an exact float64 scan")
     Gf = np.array(L.gram, dtype=np.float64)
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 

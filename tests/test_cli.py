@@ -242,6 +242,41 @@ class TestVerifyPaper:
         doc = parse_report(result.stdout)
         assert doc["result"]["criteria"][0]["status"] == "fail"
 
+    def test_override_without_equality_fails_c09(self, tmp_path):
+        # A3 has no norm-1 vectors, so zn:3 misses the bound: a fail row, not an error
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps({"dim": 3, "gram": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}))
+        result = run_cli("verify-paper", "--override", f"zn:3=@{path}", "--criteria", "C09", "--quiet")
+        assert result.returncode == 1, result.stderr
+        rows = parse_report(result.stdout)["result"]["criteria"]
+        assert [(e["id"], e["status"]) for e in rows] == [("C09", "fail")]
+
+    def test_oracle_box_too_large_exits_3(self, tmp_path):
+        # Z^2 in a Fibonacci basis: the C11 box scan would not be exact in float64
+        path = tmp_path / "fib.json"
+        path.write_text(json.dumps({"dim": 2, "gram": [[165580141, 102334155], [102334155, 63245986]]}))
+        result = run_cli("verify-paper", "--criteria", "C11", "--override", f"zn:2=@{path}", "--quiet")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
+    def test_each_certificate_is_computed_once(self, monkeypatch, capsys):
+        # the package exports a function named classify, so fetch the module
+        mod = importlib.import_module("shellbound.classify")
+        original = mod.pair_distribution
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "pair_distribution", counting)
+        monkeypatch.setattr(mod, "pair_distribution", counting)
+        assert cli.main(["verify-paper", "--criteria", "C02,C03,C09", "--quiet", "--threads", "1"]) == 0
+        capsys.readouterr()
+        # one certificate per equality case: zn:2 to zn:24 at norm 1, e8 at norm 2
+        assert len(calls) == 24
+
 
 class TestVersionFlag:
     def test_reports_version(self):

@@ -280,6 +280,12 @@ class TestBruteForceOracle:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_box_past_exact_float64_raises(self):
+        # Z^2 in a Fibonacci basis (det 1): the box is about 1.6e4 x 2.6e4
+        L = GramLattice([[165580141, 102334155], [102334155, 63245986]])
+        with pytest.raises(ValueError, match="float64"):
+            brute_force_shell(L, 1)
+
     def test_counts_below_bound(self):
         for name in ("zn:4", "an:3", "dn:5"):
             L = builtin(name)
