@@ -30,7 +30,6 @@ from .lattice import (
     is_even,
     lattice_from_document,
     lattice_to_document,
-    minimum,
     shell_count,
     span_of,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "GramLattice", "Shell", "SpanBasis",
     "LatticeError", "InvalidGramError", "LatticeFormatError",
     "builtin", "inner", "enumerate_shell", "shell_count", "brute_force_shell",
-    "hermite_normal_form", "span_of", "gram_det", "is_even", "minimum",
+    "hermite_normal_form", "span_of", "gram_det", "is_even",
     "lattice_from_document", "lattice_to_document",
     # design
     "Spectrum", "PairDistribution", "DesignReport",

@@ -26,6 +26,7 @@ from .filter import (
     root_filter,
 )
 from .lattice import (
+    CertificationError,
     GramLattice,
     Shell,
     enumerate_shell,
@@ -56,10 +57,6 @@ RANK1 = "RANK1"
 ZN = "ZN"
 E8 = "E8"
 NONE = "NONE"
-
-
-class CertificationError(RuntimeError):
-    """An equality case failed its own certificate: a bug, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ integer span computations.
 
 A shell is a read-only integer array with one vector per row (coordinates in
 the lattice basis), rows sorted lexicographically.  Enumeration prunes with
-floating point but membership is always decided by an exact integer norm
-check, so the output is exact.
+exact integer bounds from a fraction-free elimination of the Gram matrix, so
+it is complete in any basis and takes no floating-point shortcut.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "LatticeError",
     "InvalidGramError",
     "LatticeFormatError",
+    "CertificationError",
     "GramLattice",
     "Shell",
     "SpanBasis",
@@ -37,7 +38,6 @@ __all__ = [
     "span_of",
     "gram_det",
     "is_even",
-    "minimum",
     "lattice_from_document",
     "lattice_to_document",
 ]
@@ -54,25 +54,27 @@ class LatticeFormatError(LatticeError):
     """Malformed lattice document or unknown builtin name."""
 
 
-def _leading_minors(rows):
-    # Fraction-free elimination; pivot t equals the (t+1)x(t+1) leading minor.
-    # No pivoting: a zero pivot means some leading minor vanished, which is all
-    # the positive-definiteness test needs to know.
+class CertificationError(RuntimeError):
+    """An exact result failed its own certificate: a bug, not bad input."""
+
+
+def _elimination(rows):
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix, or
+    None when it is not positive definite (some pivot D_t <= 0).  Row t holds
+    from column t on the entries after t steps: a[t][t] = D_t is the leading
+    minor of order t+1, and a[-1][-1] the determinant."""
     a = [[int(x) for x in row] for row in rows]
     n = len(a)
-    minors = []
     prev = 1
     for t in range(n):
         piv = a[t][t]
-        minors.append(piv)
-        if piv == 0:
-            minors.extend([0] * (n - t - 1))
-            break
+        if piv <= 0:
+            return None
         for i in range(t + 1, n):
             for j in range(t + 1, n):
                 a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
         prev = piv
-    return minors
+    return a
 
 
 class GramLattice:
@@ -97,9 +99,7 @@ class GramLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidGramError("gram matrix must be symmetric")
-        if any(rows[i][i] < 1 for i in range(n)):
-            raise InvalidGramError("gram diagonal entries must be >= 1")
-        if any(m <= 0 for m in _leading_minors(rows)):
+        if _elimination(rows) is None:
             raise InvalidGramError("gram matrix must be positive definite")
         self.n = n
         self.gram = rows
@@ -123,7 +123,7 @@ class GramLattice:
 @dataclass(frozen=True, eq=False)
 class Shell:
     """All lattice vectors of squared norm k: the rows of a read-only int64
-    array (object when a coordinate exceeds int64), sorted lexicographically,
+    array (object when a coordinate may exceed int64), sorted lexicographically,
     so row count-1-i is the negation of row i."""
 
     k: int
@@ -177,7 +177,7 @@ def _dn_gram(n):
 
 _E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
 
-# Even unimodular rank-24 Gram with minimum 4, derived offline from the
+# Even unimodular rank-24 Gram with minimal norm 4, derived offline from the
 # binary Golay code construction and basis-reduced so every basis vector is
 # minimal.  Tests assert every required property instead of trusting this
 # constant.
@@ -209,13 +209,13 @@ _LEECH_GRAM = (
 )
 
 
-def _parse_param(name: str, param: str, minimum: int) -> int:
+def _parse_param(name: str, param: str, least: int) -> int:
     try:
         value = int(param)
     except ValueError:
         raise LatticeFormatError(f"bad parameter in builtin name '{name}'") from None
-    if value < minimum:
-        raise LatticeFormatError(f"parameter in '{name}' must be >= {minimum}")
+    if value < least:
+        raise LatticeFormatError(f"parameter in '{name}' must be >= {least}")
     return value
 
 
@@ -271,11 +271,12 @@ def product_dtype(vmax: int, gram) -> type:
     """
     n = len(gram)
     bound = (n * vmax) ** 2 * max(abs(x) for row in gram for x in row)
-    if bound < 2**52:
-        return np.float64
-    if bound < 2**62:
-        return np.int64
-    return object
+    return np.float64 if bound < 2**52 else _int_dtype(bound)
+
+
+def _int_dtype(bound: int) -> type:
+    """int64 when bound, a limit on every magnitude, is below 2**62, else object."""
+    return np.int64 if bound < 2**62 else object
 
 
 def _int_rows(A) -> np.ndarray:
@@ -315,27 +316,40 @@ def worker_count(threads: int) -> int:
 # ---------------------------------------------------------------------------
 # shell enumeration
 #
-# One depth-first search in the Cholesky frame, run in this process from the
-# root and processed level by level on whole numpy frontiers instead of one
-# vector at a time; frontiers above _CHUNK_ROWS rows are searched in chunks so
-# memory stays bounded.  Pruning radii carry a small relative slack so no true
-# solution is lost to rounding; every candidate is then checked exactly.
-# Antipodal halving keeps one vector per +-pair (the highest-index nonzero
-# coordinate is positive) and the mirror is restored after verification.
-# Every candidate is produced once, so sorting alone makes the order canonical.
+# Fincke-Pohst search in exact integers.  With D_t the leading minor of order
+# t+1 (D_{-1} = 1), a_t row t of the fraction-free elimination of G and
+# b_t = a_t[t+1:] . y[t+1:], the norm is sum_t (D_t y_t + b_t)**2 / (D_{t-1} D_t).
+# So with P = D_t times the norm of the levels above t, the admissible y_t
+# satisfy (D_t y_t + b_t)**2 <= D_{t-1} (k D_t - P), and the next level's P is
+# (D_{t-1} P + (D_t y_t + b_t)**2) / D_t exactly.  At t = 0 the norm is k where
+# k D_0 - P is a square.  No bound is rounded, so the search is complete in any
+# basis; a pairwise reduction first shortens skewed ones.  Frontiers are whole
+# numpy arrays, searched in chunks above _CHUNK_ROWS rows.  Antipodal halving
+# keeps one vector per +-pair (the highest-index nonzero coordinate is
+# positive); every vector is produced once, so sorting makes the order canonical.
 
 _CHUNK_ROWS = 250_000
-_FUZZ = 1e-9
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Elementwise math.isqrt of a nonnegative integer array."""
+    if v.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(v)
+    # below 2**62 the float64 root is within 1 of the integer root
+    s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s
 
 
 def _children(coords, zflag, lo, hi, col):
     """Repeat each frontier row once per integer in [lo, hi] (only >= 0 where
     zflag is set) and write that integer into column col.  Returns (parent
     row, value, child row) arrays, or None when every interval is empty."""
-    lo = np.where(zflag, np.maximum(lo, 0.0), lo)
-    if np.abs(lo).max() >= 2**53 or np.abs(hi).max() >= 2**53:
-        # past 2**53 float64 skips integers, so intervals would lose candidates
-        raise ValueError("shell coordinates reach 2**53, too large to enumerate exactly")
+    lo = np.where(zflag, np.maximum(lo, 0), lo)
+    if max(np.abs(lo).max(), np.abs(hi).max()) >= 2**53:
+        # a size guard, which also keeps every coordinate inside int64
+        raise ValueError("shell coordinates reach 2**53, too large to enumerate")
     cnt = (hi - lo + 1).astype(np.int64)
     np.maximum(cnt, 0, out=cnt)
     total = int(cnt.sum())
@@ -343,76 +357,74 @@ def _children(coords, zflag, lo, hi, col):
         return None
     idx = np.repeat(np.arange(coords.shape[0]), cnt)
     offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    vals = lo[idx] + offs
-    newc = np.ascontiguousarray(coords[idx])
-    newc[:, col] = vals.astype(np.int64)
+    vals = lo[idx] + offs.astype(coords.dtype, copy=False)
+    newc = coords[idx]
+    newc[:, col] = vals
     return idx, vals, newc
 
 
-def _expand_level(Rm, C, coords, partial, zflag, level):
-    rii = Rm[level, level]
-    s = coords @ Rm[level]
-    rad = np.sqrt(np.maximum(C - partial, 0.0))
-    lo = np.ceil((-rad - s) / rii - _FUZZ)
-    hi = np.floor((rad - s) / rii + _FUZZ)
-    ch = _children(coords, zflag, lo, hi, level)
-    if ch is None:
-        return None
-    idx, vals, newc = ch
-    t = rii * vals + s[idx]
-    newp = partial[idx] + t * t
-    newz = zflag[idx] & (vals == 0)
-    return newc, newp, newz
+def _search(gram, k: int) -> np.ndarray:
+    """One int64 row per +-pair of the integer vectors y with y^T G y = k."""
+    a = _elimination(gram)
+    n = len(a)
+    D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
+    # Every intermediate is at most k*D_{t-1}*D_t + max|b_t|, and Hadamard's
+    # inequality gives |y_j|**2 <= k * (G^-1)_jj <= k * prod(G_ii) / det G.
+    ymax = math.isqrt(k * math.prod(gram[i][i] for i in range(n)) // D[n])
+    bmax = ymax * max(sum(abs(x) for x in a[t][t + 1 :]) for t in range(n))
+    dtype = _int_dtype(max(bmax, max(k * D[t] * D[t + 1] for t in range(n))))
+    A = np.array([[a[t][j] if j > t else 0 for j in range(n)] for t in range(n)], dtype=dtype)
 
-
-def _bottom_candidates(Rm, k, tol, coords, partial, zflag) -> list:
-    r00 = Rm[0, 0]
-    s = coords @ Rm[0]
-    hit = np.sqrt(np.maximum((k + tol) - partial, 0.0))
-    lot = np.sqrt(np.maximum((k - tol) - partial, 0.0))
-    up_lo = np.ceil((lot - s) / r00 - _FUZZ)
-    up_hi = np.floor((hit - s) / r00 + _FUZZ)
-    down_lo = np.ceil((-hit - s) / r00 - _FUZZ)
-    # the lower interval ends below the upper one, so an integer in both (the
-    # middle one when the inner radius is 0) is emitted once; the union holds
-    down_hi = np.minimum(np.floor((-lot - s) / r00 + _FUZZ), up_lo - 1)
-    pieces = []
-    for lo, hi in ((up_lo, up_hi), (down_lo, down_hi)):
-        ch = _children(coords, zflag, lo, hi, 0)
-        if ch is not None:
-            pieces.append(ch[2])
-    return pieces
-
-
-def _search(Rm, k, tol, coords, partial, zflag, level):
-    """Candidate representatives below the given frontier, as an int64 array."""
-    out = [np.empty((0, Rm.shape[0]), dtype=np.int64)]  # when nothing is found
-    stack = [(coords, partial, zflag, level)]
+    out = [np.empty((0, n), dtype=np.int64)]  # when nothing is found
+    stack = [(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)]
     while stack:
-        c, p, z, lv = stack.pop()
-        if c.shape[0] > _CHUNK_ROWS:
-            for a in range(0, c.shape[0], _CHUNK_ROWS):
-                stack.append((c[a : a + _CHUNK_ROWS], p[a : a + _CHUNK_ROWS], z[a : a + _CHUNK_ROWS], lv))
+        y, P, z, t = stack.pop()
+        if y.shape[0] > _CHUNK_ROWS:
+            for c in range(0, y.shape[0], _CHUNK_ROWS):
+                stack.append((y[c : c + _CHUNK_ROWS], P[c : c + _CHUNK_ROWS], z[c : c + _CHUNK_ROWS], t))
             continue
-        if lv == 0:
-            out.extend(_bottom_candidates(Rm, k, tol, c, p, z))
+        b = y @ A[t]
+        rhs = D[t] * (k * D[t + 1] - P)
+        r = _isqrt(rhs)
+        if t == 0:
+            # norm exactly k: D_0 y_0 + b = +-r with r**2 = rhs; the root -r is
+            # skipped where it repeats +r and where y_0 must be positive
+            num = np.concatenate([r - b, -r - b])
+            hit = r * r == rhs
+            keep = np.concatenate([hit, hit & (r > 0) & ~z]) & (num % D[1] == 0)
+            done = np.concatenate([y, y])[keep]
+            done[:, 0] = num[keep] // D[1]
+            out.append(done.astype(np.int64))
             continue
-        ex = _expand_level(Rm, k + tol, c, p, z, lv)
-        if ex is None:
+        ch = _children(y, z, -((r + b) // D[t + 1]), (r - b) // D[t + 1], t)
+        if ch is None:
             continue
-        stack.append((ex[0], ex[1], ex[2], lv - 1))
+        idx, vals, newy = ch
+        c = D[t + 1] * vals + b[idx]
+        stack.append((newy, (D[t] * P[idx] + c * c) // D[t + 1], z[idx] & (vals == 0), t - 1))
     return np.concatenate(out)
 
 
-def _cholesky_upper(L: GramLattice) -> np.ndarray:
-    G = np.array(L.gram, dtype=np.float64)
-    try:
-        return np.linalg.cholesky(G).T
-    except np.linalg.LinAlgError:
-        # exactly positive definite but too ill conditioned for float64
-        raise InvalidGramError(
-            "gram matrix is too ill conditioned for floating point factorization"
-        ) from None
+def _pair_reduce(gram):
+    """(G', U) with G' = U^T G U, U unimodular, and 2|G'_ij| <= G'_jj: no basis
+    vector gets shorter by subtracting a multiple of another.  Each step
+    b_i -= round(G_ij / G_jj) b_j lowers G_ii, so the loop ends."""
+    G = [list(row) for row in gram]
+    n = len(G)
+    U = _identity(n)
+    reduced = False
+    while not reduced:
+        reduced = True
+        for i, j in itertools.permutations(range(n), 2):
+            if 2 * abs(G[i][j]) > G[j][j]:
+                q = (2 * G[i][j] + G[j][j]) // (2 * G[j][j])
+                for m in range(n):  # row i, then column i, of E^T G E
+                    G[i][m] -= q * G[j][m]
+                    U[m][i] -= q * U[m][j]
+                for m in range(n):
+                    G[m][i] -= q * G[m][j]
+                reduced = False
+    return G, U
 
 
 def sort_rows(V: np.ndarray) -> np.ndarray:
@@ -424,11 +436,8 @@ def sort_rows(V: np.ndarray) -> np.ndarray:
 
 
 def enumerate_shell(L: GramLattice, k: int) -> Shell:
-    """All lattice vectors of squared norm exactly k, sorted lexicographically.
-
-    One depth-first search from the root in this process; candidates are
-    kept only after the exact integer norm check.
-    """
+    """All lattice vectors of squared norm exactly k, sorted lexicographically,
+    from one exact search in a pairwise reduced basis."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     n = L.n
@@ -442,12 +451,14 @@ def enumerate_shell(L: GramLattice, k: int) -> Shell:
         vectors = np.array([[-r], [r]], dtype=np.int64 if r < 2**63 else object)
         return Shell(k=k, vectors=vectors, lattice=L)
 
-    Rm = _cholesky_upper(L)
-    tol = k * 1e-6 + _FUZZ
-    cand = _search(
-        Rm, k, tol, np.zeros((1, n), dtype=np.int64), np.zeros(1), np.ones(1, dtype=bool), n - 1
-    )
-    reps = cand[gram_products(cand, L.gram) == k]
+    G, U = _pair_reduce(L.gram)
+    reps = _search(G, k)
+    if U != _identity(n):
+        # x = U y, in a dtype that holds every partial sum of |U_ij y_j|
+        dtype = _int_dtype(max(sum(map(abs, row)) for row in U) * int(np.abs(reps).max(initial=1)))
+        reps = reps.astype(dtype) @ np.array(U, dtype=dtype).T
+    if not (gram_products(reps, L.gram) == k).all():
+        raise CertificationError(f"a vector of the norm-{k} search fails the exact norm check")
     return Shell(k=k, vectors=sort_rows(np.concatenate([reps, -reps])), lattice=L)
 
 
@@ -462,20 +473,20 @@ def shell_count(L: GramLattice, k: int) -> int:
 # Scans the integer box |x_i| <= b_i = isqrt(k * cof_ii // det G), where
 # cof_ii / det G = (G^-1)_ii comes from exact principal minors: Cauchy-Schwarz
 # in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the box holds every
-# vector of norm k.  Shares nothing with the tree search above; intended for
-# cross-checking it on small dimensions.
+# vector of norm k.  Shares only the exact elimination with the search above;
+# intended for cross-checking it on small dimensions.
 
 _ORACLE_BLOCK_ROWS = 250_000
 
 
 def _box_bounds(L: GramLattice, k: int) -> list:
     """b_i, per coordinate i, with |x_i| <= b_i on the norm-k shell."""
-    det = _leading_minors(L.gram)[-1]
+    det = _elimination(L.gram)[-1][-1]
     bounds = []
     for i in range(L.n):
         # the principal minor without row and column i (1 for rank 1)
         rest = [row[:i] + row[i + 1 :] for row in L.gram[:i] + L.gram[i + 1 :]]
-        cof = _leading_minors(rest)[-1] if rest else 1
+        cof = _elimination(rest)[-1][-1] if rest else 1
         bounds.append(math.isqrt(k * cof // det))
     return bounds
 
@@ -486,9 +497,8 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
         raise ValueError("k must be a positive integer")
     n = L.n
     bounds = _box_bounds(L, k)
-    gmax = max(abs(x) for row in L.gram for x in row)
-    if (n * max(bounds)) ** 2 * gmax >= 2**52:
-        # past 2**52 the float64 norms of the scan stop being exact integers
+    if product_dtype(max(bounds), L.gram) is not np.float64:
+        # the float64 norms of the scan would stop being exact integers
         raise ValueError("oracle box too large for an exact float64 scan")
     Gf = np.array(L.gram, dtype=np.float64)
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
@@ -590,22 +600,12 @@ def gram_det(B: SpanBasis) -> int:
     A span's Gram matrix is positive definite, so elimination needs no
     pivoting and the last leading minor is the determinant.
     """
-    return _leading_minors(B.gram)[-1]
+    return _elimination(B.gram)[-1][-1]
 
 
 def is_even(B: SpanBasis) -> bool:
     """True when every basis vector of the span has even squared norm."""
     return all(B.gram[i][i] % 2 == 0 for i in range(B.rank))
-
-
-def minimum(L: GramLattice, k_max: int):
-    """Smallest k <= k_max with a nonempty shell, or None."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    for k in range(1, k_max + 1):
-        if shell_count(L, k):
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellbound.classify import (
     E8,
@@ -208,3 +210,38 @@ class TestClassifyShellGenerated:
     def test_empty_shell_rejected(self):
         with pytest.raises(ValueError):
             classify_shell_generated(builtin("zn:2"), 3)
+
+
+_INVARIANCE_LATTICES = (
+    [f"zn:{n}" for n in range(2, 9)] + [f"an:{n}" for n in range(2, 7)]
+    + [f"dn:{n}" for n in range(4, 9)] + ["e8"]
+)
+
+
+@st.composite
+def _rebased(draw):
+    """A catalog lattice, a norm k <= 4, and its Gram matrix B^T G B after at
+    most 30 elementary column operations b_i += c b_j with |c| <= 5."""
+    name = draw(st.sampled_from(_INVARIANCE_LATTICES))
+    k = draw(st.integers(1, 4))
+    G = builtin(name).gram
+    n = len(G)
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 30))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-5, 5))
+        for row in B:
+            row[i] += c * row[j]
+    gram = [[sum(B[a][p] * G[a][b] * B[b][q] for a in range(n) for b in range(n))
+             for q in range(n)] for p in range(n)]
+    return name, k, GramLattice(gram)
+
+
+class TestBasisInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(_rebased())
+    def test_count_and_case_do_not_depend_on_the_basis(self, case):
+        name, k, L = case
+        expected = classify(builtin(name), k)
+        report = classify(L, k)
+        assert (report.count, report.case) == (expected.count, expected.case)

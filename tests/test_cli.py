@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shellbound import cli
@@ -122,6 +123,15 @@ class TestClassifyCommand:
         assert doc["result"]["case"] == "RANK1"
         assert doc["result"]["evidence"] == {"m": 2, "scale": 1}
 
+    def test_skewed_basis_of_z2(self, tmp_path):
+        # Z^2 (det 1) in a skewed basis: all four norm-1 vectors, so case ZN
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({"dim": 2, "gram": [[73666, -78559], [-78559, 83777]]}))
+        result = run_cli("classify", "--lattice", f"@{path}", "--k", "1")
+        assert result.returncode == 0, result.stderr
+        doc = parse_report(result.stdout)
+        assert (doc["result"]["count"], doc["result"]["case"]) == (4, "ZN")
+
 
 class TestErrorExits:
     def test_unknown_builtin(self):
@@ -154,6 +164,15 @@ class TestErrorExits:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "certification" in err
+
+    def test_failed_norm_check(self, monkeypatch, capsys):
+        # a search vector of the wrong norm is a bug: exit 1, nothing printed
+        mod = importlib.import_module("shellbound.lattice")
+        monkeypatch.setattr(mod, "_search", lambda gram, k: np.array([[1, 1]]))
+        assert cli.main(["shell", "--lattice", "zn:2", "--k", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "norm check" in err
 
 
 class TestHugeNorm:

@@ -23,12 +23,11 @@ from shellbound.lattice import (
     is_even,
     lattice_from_document,
     lattice_to_document,
-    minimum,
     product_dtype,
     shell_count,
     span_of,
 )
-from shellbound.lattice import _FUZZ, _box_bounds, _cholesky_upper, _search
+from shellbound.lattice import _box_bounds, _isqrt, _pair_reduce, _search
 
 
 class TestGramLattice:
@@ -92,7 +91,8 @@ class TestBuiltinCatalog:
         B = span_of(basis, L)
         assert gram_det(B) == 1
         assert is_even(B)
-        assert minimum(L, 4) == 2
+        assert len(enumerate_shell(L, 1)) == 0
+        assert len(enumerate_shell(L, 2)) == 240
 
     def test_leech_is_even_unimodular_minimum_four(self):
         L = builtin("leech")
@@ -100,7 +100,7 @@ class TestBuiltinCatalog:
         B = span_of(basis, L)
         assert gram_det(B) == 1
         assert is_even(B)
-        assert minimum(L, 4) == 4
+        assert [len(enumerate_shell(L, k)) for k in (1, 2, 3, 4)] == [0, 0, 0, 196560]
 
     @pytest.mark.parametrize("bad", ["zn:0", "an:0", "dn:1", "scaledz:0", "zn:x", "zn:", "nosuch", "e9", "zn:-3"])
     def test_rejects_bad_names(self, bad):
@@ -172,8 +172,8 @@ class TestEnumerateShell:
         assert S.vectors.tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
 
     def test_coordinates_past_float64_integers_rejected(self):
-        # the shell is +-2**63 e_i; float64 intervals could not list every
-        # integer out there, so enumeration refuses instead of missing them
+        # the shell is +-2**63 e_i, but the top level alone would list 2**63
+        # integers, so the size guard refuses instead of running out of memory
         with pytest.raises(ValueError):
             enumerate_shell(builtin("zn:2"), 2**126)
 
@@ -182,13 +182,35 @@ class TestEnumerateShell:
 
     @pytest.mark.parametrize("name, k", [("e8", 2), ("zn:3", 1), ("dn:4", 4), ("an:3", 2)])
     def test_search_emits_each_candidate_once(self, name, k):
-        L = builtin(name)
-        n = L.n
-        cand = _search(
-            _cholesky_upper(L), k, k * 1e-6 + _FUZZ,
-            np.zeros((1, n), dtype=np.int64), np.zeros(1), np.ones(1, dtype=bool), n - 1,
-        )
+        cand = _search(builtin(name).gram, k)
         assert len(np.unique(cand, axis=0)) == len(cand)
+
+    @pytest.mark.parametrize("name", ["zn:3", "an:6", "dn:8", "e8", "leech"])
+    def test_pair_reduction_keeps_catalog_bases(self, name):
+        # catalog shells need no change of basis, so they are never mapped back
+        G, U = _pair_reduce(builtin(name).gram)
+        assert G == [list(row) for row in builtin(name).gram]
+        assert U == [[int(i == j) for j in range(len(G))] for i in range(len(G))]
+
+    @pytest.mark.parametrize("m", [20, 30, 40, 44])
+    def test_fibonacci_basis_of_z2(self, m):
+        # Z^2 in the basis (F_{m+1}, F_m), (F_m, F_{m-1}): det 1 with Gram
+        # entries up to 1.8e18, too skewed for any fixed floating-point slack
+        F = [0, 1]
+        while len(F) < m + 2:
+            F.append(F[-1] + F[-2])
+        basis = [(F[m + 1], F[m]), (F[m], F[m - 1])]
+        gram = [[u[0] * v[0] + u[1] * v[1] for v in basis] for u in basis]
+        assert shell_count(GramLattice(gram), 1) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=8),
+           st.lists(st.integers(0, 2**62 - 1), max_size=8))
+    def test_isqrt_matches_math_isqrt(self, roots, values):
+        # squares and their predecessors are where a float root rounds wrong
+        v = values + [s * s for s in roots] + [max(s * s - 1, 0) for s in roots]
+        assert _isqrt(np.array(v, dtype=np.int64)).tolist() == [math.isqrt(x) for x in v]
+        assert _isqrt(np.array(v, dtype=object)).tolist() == [math.isqrt(x) for x in v]
 
 
 @st.composite
@@ -350,13 +372,6 @@ class TestSpan:
         assert B.gram == ((2**140, 0), (0, 9))
         assert all(type(x) is int for row in B.gram for x in row)
         assert gram_det(B) == 9 * 2**140
-
-
-class TestMinimum:
-    def test_values(self):
-        assert minimum(builtin("zn:5"), 3) == 1
-        assert minimum(builtin("an:2"), 3) == 2
-        assert minimum(builtin("scaledz:9"), 8) is None
 
 
 class TestDocuments:
