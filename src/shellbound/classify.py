@@ -178,7 +178,8 @@ def classify(
         q = L.gram[0][0]
         if equality:
             m = math.isqrt(k // q)
-            assert q * m * m == k
+            if q * m * m != k:
+                raise CertificationError(f"rank-1 equality at k={k} is not {q}*{m}^2")
             case = RANK1
             evidence = {"scale": q, "m": m}
         else:

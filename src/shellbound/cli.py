@@ -52,7 +52,6 @@ from .lattice import (
     brute_force_shell,
     builtin,
     enumerate_shell,
-    inner,
     lattice_from_document,
     lattice_to_document,
 )
@@ -447,11 +446,12 @@ _C11_BUILTINS = (
 
 
 def _inner_tally(S) -> Counter:
-    """<y,z> over all ordered pairs of the shell, diagonal included, tallied
-    by value with the scalar inner product."""
-    L = S.lattice
-    V = S.vectors.tolist()  # Python ints, as the scalar reference expects
-    return Counter(inner(L, y, z) for y in V for z in V)
+    """<y,z> over all N^2 ordered pairs of the shell, diagonal included,
+    tallied by value in Python ints.  G z is formed once per vector z, so each
+    pair costs one n-term dot product; tests pin the tally to lattice.inner."""
+    V = S.vectors.tolist()
+    W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in V]
+    return Counter(sum(map(int.__mul__, y, w)) for y in V for w in W)
 
 
 def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:

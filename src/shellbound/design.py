@@ -23,7 +23,14 @@ from .exactpoly import (
     gegenbauer,
     shell_bound,
 )
-from .lattice import GramLattice, Shell, enumerate_shell, product_dtype, worker_count
+from .lattice import (
+    CertificationError,
+    GramLattice,
+    Shell,
+    enumerate_shell,
+    product_dtype,
+    worker_count,
+)
 
 __all__ = [
     "Spectrum",
@@ -75,7 +82,8 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     N = len(S.vectors)
     if N == 0:
         raise ValueError("pair_distribution needs a nonempty shell")
-    assert N % 2 == 0, "lattice shells are antipodal"
+    if N % 2:
+        raise ValueError(f"pair_distribution needs an antipodal shell, got {N} vectors")
     k = S.k
     gram = S.lattice.gram
     # the upper half of the sorted antipodal rows holds one vector per pair
@@ -114,12 +122,15 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
             raw[int(p)] = raw.get(int(p), 0) + c
 
     diagonal = raw.pop(k, 0)  # <v,v> = k once per representative
-    assert diagonal == m, "distinct representatives cannot be collinear"
-    assert -k not in raw, "representatives contain no antipodal pair"
+    if diagonal != m:
+        raise CertificationError("distinct representatives cannot be collinear")
+    if -k in raw:
+        raise CertificationError("representatives contain an antipodal pair")
     counts: Dict[Fraction, int] = {Fraction(-1): N}
     for p in sorted(set(raw) | {-p for p in raw}):
         counts[Fraction(p, k)] = 2 * (raw.get(p, 0) + raw.get(-p, 0))
-    assert sum(counts.values()) == N * (N - 1)
+    if sum(counts.values()) != N * (N - 1):
+        raise CertificationError(f"pair counts do not sum to {N}*{N - 1}")
     return PairDistribution(k=k, size=N, counts=counts)
 
 
@@ -130,9 +141,8 @@ def spectrum(S: Shell, distribution: Optional[PairDistribution] = None) -> Spect
     dist = distribution if distribution is not None else pair_distribution(S)
     values = tuple(sorted(dist.counts))
     for a in values:
-        assert Fraction(-1) <= a < 1 and (a * S.k).denominator == 1, (
-            "shell inner products must lie in {-1} union {j/k : |j| < k}"
-        )
+        if not (Fraction(-1) <= a < 1 and (a * S.k).denominator == 1):
+            raise CertificationError(f"inner product {a} is neither -1 nor j/k with |j| < k")
     return Spectrum(k=S.k, values=values)
 
 

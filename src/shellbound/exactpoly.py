@@ -1,7 +1,9 @@
 """Exact rational polynomials, the Gegenbauer family, and counting bounds.
 
-Every scalar here is a fractions.Fraction and every identity is exact; this
-module never touches floating point.
+A polynomial is a tuple of integer numerators over one common denominator,
+so its ring operations and evaluation run on Python ints with one gcd each;
+values come back as fractions.Fraction.  Every identity is exact; this module
+never touches floating point.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from itertools import zip_longest
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -37,68 +40,85 @@ def binom(a: int, b: int) -> int:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact rational coefficients, held as
+    integer numerators over one positive common denominator.
 
-    coeffs[i] is the coefficient of u**i; trailing zeros are trimmed.  The zero
-    polynomial has empty coeffs and degree None (no -1 sentinel).
+    num[i] / den is the coefficient of u**i, in lowest terms (the gcd of den
+    and every numerator is 1), with trailing zeros trimmed.  coeffs gives the
+    same coefficients as a tuple of Fractions.  The zero polynomial has empty
+    num, den 1 and degree None (no -1 sentinel).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable[Scalar] = (), den: Optional[int] = None):
+        # with den given, coeffs are integer numerators over den > 0
+        num = list(coeffs)
+        if den is None:
+            den = math.lcm(*(c.denominator for c in num))
+            num = [c.numerator * (den // c.denominator) for c in num]
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        self.num = tuple(x // g for x in num)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def __call__(self, u: Scalar) -> Fraction:
-        u = Fraction(u)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+        # homogeneous Horner on u = p/q: acc = sum num[i] p**i q**(d-i), and
+        # qpow ends at q**(d+1), so the value is acc q / (den qpow)
+        p, q = u.numerator, u.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc * q, self.den * qpow)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        return Poly(
+            [x * fa + y * fb for x, y in zip_longest(self.num, other.num, fillvalue=0)],
+            self.den * fa,
+        )
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly([-x for x in self.num], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * Fraction(other) for c in self.coeffs])
+            a, b = self.num, other.num
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return Poly(out, self.den * other.den)
+        return Poly([x * other.numerator for x in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def reflected(self) -> "Poly":
         """The polynomial p(-u)."""
-        return Poly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
+        return Poly([-x if i % 2 else x for i, x in enumerate(self.num)], self.den)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "Poly(0)"
         terms = [f"{c}*u^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"

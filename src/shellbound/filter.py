@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .exactpoly import cumulative_gegenbauer
+from .lattice import CertificationError
 
 __all__ = [
     "FilterReport",
@@ -53,7 +54,8 @@ def root_filter(n: int, k: int) -> FilterReport:
     if k < 1:
         raise ValueError("root_filter requires norm k >= 1")
     poly = cumulative_gegenbauer(n, 2 * k - 1)
-    assert all(c == 0 for c in poly.coeffs[0::2]), "odd-degree cumulative sum must be odd"
+    if any(poly.num[0::2]):
+        raise CertificationError(f"cumulative sum of degree {2 * k - 1} at n={n} is not odd")
     evaluations = {Fraction(j, k): poly(Fraction(j, k)) for j in range(k)}
     return FilterReport(
         n=n, k=k, passes=all(v == 0 for v in evaluations.values()), evaluations=evaluations
@@ -77,7 +79,8 @@ def norm2_filter_dimension() -> int:
     """
     root_sq = Fraction(1, 2) ** 2
     n = Fraction(3) / root_sq - 4
-    assert n.denominator == 1
+    if n.denominator != 1:
+        raise CertificationError(f"norm-2 dimension solve gave {n}, not an integer")
     return int(n)
 
 
@@ -92,7 +95,8 @@ def norm3_filter_contradiction() -> Norm3Contradiction:
     root_sum = sum(required_roots)
     # Vieta sum of the quartic's roots is 10/(n+8)
     n = Fraction(10) / root_sum - 8
-    assert n.denominator == 1
+    if n.denominator != 1:
+        raise CertificationError(f"norm-3 dimension solve gave {n}, not an integer")
     n = int(n)
     product_required = required_roots[0] * required_roots[1]
     product_actual = Fraction(15, (n + 6) * (n + 8))

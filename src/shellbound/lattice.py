@@ -9,6 +9,7 @@ it is complete in any basis and takes no floating-point shortcut.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -219,10 +220,13 @@ def _parse_param(name: str, param: str, least: int) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=64)
 def builtin(name: str) -> GramLattice:
     """Look up a builtin lattice: zn:<n>, an:<n>, dn:<n>, e8, leech, scaledz:<q>.
 
     scaledz:<q> is the rank-1 lattice whose generator has squared norm q.
+    Lattices are cached per name (the 64 most recent), so repeated lookups
+    share one validated object; unknown names raise on every call.
     """
     if name == "e8":
         return GramLattice(_cartan(8, _E8_EDGES), name="e8")

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from shellbound import cli
-from shellbound.lattice import builtin, lattice_to_document
+from shellbound.lattice import builtin, enumerate_shell, inner, lattice_to_document
 
 
 def run_cli(*args, check=False):
@@ -295,6 +296,20 @@ class TestVerifyPaper:
         capsys.readouterr()
         # one certificate per equality case: zn:2 to zn:24 at norm 1, e8 at norm 2
         assert len(calls) == 24
+
+
+def test_c11_tally_matches_scalar_inner():
+    # every shell whose moments C11 checks against the naive double sum
+    checked = 0
+    for name in cli._C11_BUILTINS:
+        L = builtin(name)
+        for k in range(1, 7):
+            S = enumerate_shell(L, k)
+            if L.n >= 2 and 0 < len(S.vectors) <= 200:
+                V = S.vectors.tolist()
+                assert cli._inner_tally(S) == Counter(inner(L, y, z) for y in V for z in V), (name, k)
+                checked += 1
+    assert checked == 47
 
 
 class TestVersionFlag:

@@ -14,7 +14,15 @@ from shellbound.design import (
     spectrum,
 )
 from shellbound.exactpoly import Poly, gegenbauer, shell_bound
-from shellbound.lattice import GramLattice, builtin, enumerate_shell, inner, product_dtype
+from shellbound.lattice import (
+    CertificationError,
+    GramLattice,
+    Shell,
+    builtin,
+    enumerate_shell,
+    inner,
+    product_dtype,
+)
 
 HALF = Fraction(1, 2)
 
@@ -75,6 +83,16 @@ class TestPairDistribution:
     def test_empty_shell_rejected(self):
         S = enumerate_shell(builtin("zn:2"), 3)
         with pytest.raises(ValueError):
+            pair_distribution(S)
+
+    def test_odd_shell_rejected(self):
+        S = Shell(1, np.array([[-1, 0], [0, 1], [1, 0]]), builtin("zn:2"))
+        with pytest.raises(ValueError):
+            pair_distribution(S)
+
+    def test_wrong_norm_fails_its_certificate(self):
+        S = Shell(1, np.array([[-1, -1], [1, 1]]), builtin("zn:2"))
+        with pytest.raises(CertificationError):
             pair_distribution(S)
 
     def test_matches_naive_count(self):

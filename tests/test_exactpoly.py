@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellbound.exactpoly import (
     Poly,
@@ -66,6 +69,72 @@ class TestPoly:
     def test_hash_consistent_with_eq(self):
         assert hash(Poly((0, 1, 0))) == hash(Poly((0, 1)))
 
+    def test_integer_numerators_over_one_denominator(self):
+        p = Poly((Fraction(1, 2), Fraction(-2, 3), 0))
+        assert (p.num, p.den) == ((3, -4), 6)
+        assert Poly((4, 6), 2) == Poly((2, 3))
+        assert (Poly().num, Poly().den) == ((), 1)
+        assert Poly()(Fraction(1, 3)) == 0
+        assert repr(p) == "Poly(1/2*u^0 + -2/3*u^1)"
+
+
+# A plain list-of-Fraction reference for Poly: coefficient i of u**i, trimmed.
+
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_eval(a, u):
+    return sum((c * u**i for i, c in enumerate(a)), Fraction(0))
+
+
+_rationals = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 1000)
+_coeff_lists = st.lists(st.one_of(_rationals, st.just(Fraction(0))), max_size=7)
+
+
+class TestPolyAgainstFractionReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_coeff_lists, _coeff_lists, _rationals, _rationals)
+    def test_ring_evaluation_reflection_and_equality(self, a, b, s, u):
+        P, Q = Poly(a), Poly(b)
+        ra, rb = _ref_trim(a), _ref_trim(b)
+        assert P.degree == (len(ra) - 1 if ra else None)
+        cases = [
+            (P, ra),
+            (P + Q, _ref_add(ra, rb)),
+            (P - Q, _ref_add(ra, [-c for c in rb])),
+            (-P, [-c for c in ra]),
+            (P * Q, _ref_mul(ra, rb)),
+            (P * s, _ref_trim([c * s for c in ra])),
+            (s * P, _ref_trim([c * s for c in ra])),
+            (P.reflected(), [c if i % 2 == 0 else -c for i, c in enumerate(ra)]),
+        ]
+        for R, ref in cases:
+            assert all(isinstance(c, Fraction) for c in R.coeffs)
+            assert list(R.coeffs) == ref
+            # lowest terms, so equal polynomials compare and hash equal
+            assert R.den > 0 and math.gcd(R.den, *R.num) == 1
+            assert R == Poly(ref) and hash(R) == hash(Poly(ref))
+            assert R(u) == _ref_eval(ref, u) and isinstance(R(u), Fraction)
+        assert (P == Q) == (ra == rb)
+        assert P == Poly(list(a) + [0, 0]) and hash(P) == hash(Poly(list(a) + [0, 0]))
+
 
 class TestHarmonicDim:
     def test_values(self):
@@ -108,6 +177,24 @@ class TestGegenbauer:
     def test_dimension_two_doubles_chebyshev(self):
         assert gegenbauer(2, 3) == Poly((0, -6, 0, 8))
         assert gegenbauer(2, 5)(1) == 2
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_explicit_sum_formula(self, n):
+        # Q_i = (lam+i) sum_k (-1)^k (lam+1)_(i-k-1) / (k! (i-2k)!) (2u)^(i-2k)
+        # with lam = (n-2)/2: (1 + i/lam) C_i^lam written without the 1/lam,
+        # so lam = 0 gives twice the Chebyshev polynomial
+        lam = Fraction(n - 2, 2)
+
+        def rising(x, m):
+            return math.prod((x + j for j in range(m)), start=Fraction(1))
+
+        for i in range(1, 13):
+            coeffs = [Fraction(0)] * (i + 1)
+            for k in range(i // 2 + 1):
+                term = rising(lam + 1, i - k - 1) / (math.factorial(k) * math.factorial(i - 2 * k))
+                coeffs[i - 2 * k] = (-1) ** k * (lam + i) * term * 2 ** (i - 2 * k)
+            assert gegenbauer(n, i) == Poly(coeffs), (n, i)
+        assert gegenbauer(n, 0) == Poly((1,))
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("i", range(0, 11))

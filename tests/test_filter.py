@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from shellbound.exactpoly import cumulative_gegenbauer
+from shellbound import filter as filter_module
+from shellbound.exactpoly import Poly, cumulative_gegenbauer
 from shellbound.filter import (
     allowed_tight_strengths,
     circle_exclusion,
@@ -11,6 +12,7 @@ from shellbound.filter import (
     norm3_filter_contradiction,
     root_filter,
 )
+from shellbound.lattice import CertificationError
 
 
 class TestRootFilter:
@@ -39,6 +41,11 @@ class TestRootFilter:
     def test_kernel_sum_is_odd(self, n, k):
         poly = cumulative_gegenbauer(n, 2 * k - 1)
         assert all(c == 0 for c in poly.coeffs[0::2])
+
+    def test_non_odd_sum_fails_its_certificate(self, monkeypatch):
+        monkeypatch.setattr(filter_module, "cumulative_gegenbauer", lambda n, m: Poly((1, 1)))
+        with pytest.raises(CertificationError):
+            root_filter(8, 2)
 
     def test_evaluations_cover_required_roots(self):
         report = root_filter(5, 3)

@@ -104,8 +104,15 @@ class TestBuiltinCatalog:
 
     @pytest.mark.parametrize("bad", ["zn:0", "an:0", "dn:1", "scaledz:0", "zn:x", "zn:", "nosuch", "e9", "zn:-3"])
     def test_rejects_bad_names(self, bad):
-        with pytest.raises(LatticeFormatError):
-            builtin(bad)
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(LatticeFormatError):
+                builtin(bad)
+
+    def test_lookups_are_cached_per_name(self):
+        assert builtin("e8") is builtin("e8")
+        assert builtin("zn:3") is builtin("zn:3")
+        assert builtin("zn:3") is not builtin("zn:4")
+        assert builtin.cache_info().maxsize == 64
 
 
 class TestInner:
