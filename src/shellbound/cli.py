@@ -447,11 +447,18 @@ _C11_BUILTINS = (
 
 def _inner_tally(S) -> Counter:
     """<y,z> over all N^2 ordered pairs of the shell, diagonal included,
-    tallied by value in Python ints.  G z is formed once per vector z, so each
-    pair costs one n-term dot product; tests pin the tally to lattice.inner."""
-    V = S.vectors.tolist()
-    W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in V]
-    return Counter(sum(map(int.__mul__, y, w)) for y in V for w in W)
+    tallied by value in Python ints.  Row N-1-i is minus row i (checked, else
+    CertificationError), so the upper half R holds one vector per +-pair and,
+    with H the tally over R x R, the full tally is T(v) = 2 (H(v) + H(-v)).
+    G z is formed once per z, so each pair costs one n-term dot product;
+    tests pin T to lattice.inner over all N^2 pairs."""
+    V = S.vectors
+    if len(V) % 2 or not np.array_equal(V[::-1], -V):
+        raise CertificationError("C11 tally needs shell rows antipodal in canonical order")
+    R = V[len(V) // 2 :].tolist()
+    W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in R]
+    H = Counter(sum(map(int.__mul__, y, w)) for y in R for w in W)
+    return Counter({v: 2 * (H[v] + H[-v]) for v in H.keys() | {-v for v in H}})
 
 
 def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:

@@ -78,12 +78,16 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     Works on antipodal representatives: for b not equal to +-1 the full count
     is twice the representative count at b plus twice the count at -b, and the
     count at -1 is the shell size (each point meets its antipode once).
+
+    Raises ValueError (bad input) when the shell is empty, has an odd number
+    of rows, is not antipodal in canonical order (row N-1-i is minus row i),
+    or has a row whose norm is not k.
     """
     N = len(S.vectors)
     if N == 0:
         raise ValueError("pair_distribution needs a nonempty shell")
-    if N % 2:
-        raise ValueError(f"pair_distribution needs an antipodal shell, got {N} vectors")
+    if N % 2 or not np.array_equal(S.vectors[::-1], -S.vectors):
+        raise ValueError(f"pair_distribution needs an antipodal shell in canonical order ({N} rows)")
     k = S.k
     gram = S.lattice.gram
     # the upper half of the sorted antipodal rows holds one vector per pair
@@ -94,6 +98,9 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     dtype = product_dtype(int(np.abs(V).max()), gram)
     V = V.astype(dtype)
     W = V @ np.array(gram, dtype=dtype)
+    norms = (V * W).sum(axis=1)  # exact in dtype, like every entry of V W^T
+    if int(norms.min()) != k or int(norms.max()) != k:
+        raise ValueError(f"pair_distribution needs every row of norm {k}")
     block = max(1, min(m, 4_000_000 // m + 1))
 
     def count_block(a):

@@ -135,38 +135,15 @@ def harmonic_dim(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _chebyshev(i: int) -> Poly:
-    # first-kind Chebyshev: T_i = 2u T_{i-1} - T_{i-2}
-    if i == 0:
-        return Poly((1,))
-    if i == 1:
-        return Poly((0, 1))
-    two_u = Poly((0, 2))
-    return two_u * _chebyshev(i - 1) - _chebyshev(i - 2)
-
-
-@lru_cache(maxsize=None)
-def _classical_gegenbauer(n: int, i: int) -> Poly:
-    # three-term recurrence for C_i^lam with lam = (n-2)/2, n >= 3
-    lam = Fraction(n - 2, 2)
-    if i == 0:
-        return Poly((1,))
-    if i == 1:
-        return Poly((0, 2 * lam))
-    a = Fraction(2) * (i - 1 + lam) / i
-    b = Fraction(i - 2 + 2 * lam, i)
-    u = Poly((0, 1))
-    return a * (u * _classical_gegenbauer(n, i - 1)) - b * _classical_gegenbauer(n, i - 2)
-
-
-@lru_cache(maxsize=None)
 def gegenbauer(n: int, i: int) -> Poly:
     """Degree-i Gegenbauer polynomial for the (n-1)-sphere, normalized so the
     value at 1 is harmonic_dim(n, i).
 
-    Built from the classical recurrence and rescaled; for n = 2 the classical
-    parameter degenerates to 0 and the Chebyshev family (scaled by 2 for
-    positive degree) is the correct limit.
+    This is Q_i = (lam+i)/lam C_i^lam with lam = (n-2)/2, built from the
+    explicit sum in integers: the coefficient of u^(i-2j) is
+    (-1)^j (n-2+2i) prod_{t<i-j-1} (n+2t) / (2^j j! (i-2j)!), and all of them
+    sit over the one denominator 2^h h! i! with h = i//2.  The sum has no
+    1/lam, so n = 2 (lam = 0) gives twice the Chebyshev polynomial T_i.
     """
     if n < 2:
         raise ValueError("gegenbauer requires dimension n >= 2")
@@ -174,11 +151,14 @@ def gegenbauer(n: int, i: int) -> Poly:
         raise ValueError("degree must be non-negative")
     if i == 0:
         return Poly((1,))
-    if n == 2:
-        return 2 * _chebyshev(i)
-    c = _classical_gegenbauer(n, i)
-    at_one = c(1)
-    return c * (Fraction(harmonic_dim(n, i)) / at_one)
+    h = i // 2
+    den = 2**h * math.factorial(h) * math.factorial(i)
+    num = [0] * (i + 1)
+    for j in range(h + 1):
+        rising = math.prod(range(n, n + 2 * (i - j - 1), 2))  # prod_{t<i-j-1} (n+2t)
+        scale = den // (2**j * math.factorial(j) * math.factorial(i - 2 * j))
+        num[i - 2 * j] = (-1) ** j * (n - 2 + 2 * i) * rising * scale
+    return Poly(num, den)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shellbound import cli
-from shellbound.lattice import builtin, enumerate_shell, inner, lattice_to_document
+from shellbound.lattice import CertificationError, Shell, builtin, enumerate_shell, inner, lattice_to_document
 
 
 def run_cli(*args, check=False):
@@ -310,6 +310,14 @@ def test_c11_tally_matches_scalar_inner():
                 assert cli._inner_tally(S) == Counter(inner(L, y, z) for y in V for z in V), (name, k)
                 checked += 1
     assert checked == 47
+
+
+def test_c11_tally_rejects_rows_out_of_antipodal_order():
+    L = builtin("zn:2")
+    # not a +-pair; and an odd shell whose reversal is its negation
+    for rows in ([[0, 1], [1, 0]], [[-1, 0], [0, 0], [1, 0]]):
+        with pytest.raises(CertificationError):
+            cli._inner_tally(Shell(1, np.array(rows), L))
 
 
 class TestVersionFlag:

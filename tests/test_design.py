@@ -15,7 +15,6 @@ from shellbound.design import (
 )
 from shellbound.exactpoly import Poly, gegenbauer, shell_bound
 from shellbound.lattice import (
-    CertificationError,
     GramLattice,
     Shell,
     builtin,
@@ -90,10 +89,19 @@ class TestPairDistribution:
         with pytest.raises(ValueError):
             pair_distribution(S)
 
-    def test_wrong_norm_fails_its_certificate(self):
+    def test_wrong_norm_rejected(self):
         S = Shell(1, np.array([[-1, -1], [1, 1]]), builtin("zn:2"))
-        with pytest.raises(CertificationError):
+        with pytest.raises(ValueError):
             pair_distribution(S)
+
+    def test_rows_out_of_antipodal_order_rejected(self):
+        # two norm-1 vectors that are not a +-pair: counted as one pair they
+        # gave {-1: 2}, strength 1 and tight=True
+        S = Shell(1, np.array([[0, 1], [1, 0]]), builtin("zn:2"))
+        with pytest.raises(ValueError):
+            pair_distribution(S)
+        with pytest.raises(ValueError):
+            design_strength(S)
 
     def test_matches_naive_count(self):
         S = enumerate_shell(builtin("an:3"), 2)

@@ -104,6 +104,39 @@ def _ref_eval(a, u):
     return sum((c * u**i for i, c in enumerate(a)), Fraction(0))
 
 
+# The Chebyshev and Gegenbauer three-term recurrences on plain Fraction
+# lists: an independent reference for gegenbauer's explicit integer sum.
+
+def _ref_chebyshev(i):
+    # first-kind Chebyshev: T_i = 2u T_{i-1} - T_{i-2}
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for _ in range(i):
+        prev, cur = cur, _ref_add(_ref_mul([0, 2], cur), [-c for c in prev])
+    return prev
+
+
+def _ref_classical_gegenbauer(n, i):
+    # C_i^lam with lam = (n-2)/2 > 0:
+    # j C_j = 2(j-1+lam) u C_{j-1} - (j-2+2 lam) C_{j-2}
+    lam = Fraction(n - 2, 2)
+    prev, cur = [Fraction(1)], [Fraction(0), 2 * lam]
+    for j in range(1, i):
+        a, b = 2 * (j + lam) / (j + 1), (j - 1 + 2 * lam) / (j + 1)
+        prev, cur = cur, _ref_add(_ref_mul([0, a], cur), [-b * c for c in prev])
+    return prev if i == 0 else cur
+
+
+def _ref_gegenbauer(n, i):
+    # rescaled so the value at 1 is harmonic_dim(n, i); n = 2 is 2 T_i
+    if i == 0:
+        return [Fraction(1)]
+    if n == 2:
+        return [2 * c for c in _ref_chebyshev(i)]
+    c = _ref_classical_gegenbauer(n, i)
+    scale = harmonic_dim(n, i) / _ref_eval(c, Fraction(1))
+    return [scale * x for x in c]
+
+
 _rationals = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 1000)
 _coeff_lists = st.lists(st.one_of(_rationals, st.just(Fraction(0))), max_size=7)
 
@@ -195,6 +228,11 @@ class TestGegenbauer:
                 coeffs[i - 2 * k] = (-1) ** k * (lam + i) * term * 2 ** (i - 2 * k)
             assert gegenbauer(n, i) == Poly(coeffs), (n, i)
         assert gegenbauer(n, 0) == Poly((1,))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_three_term_recurrence(self, n):
+        for i in range(16):
+            assert list(gegenbauer(n, i).coeffs) == _ref_gegenbauer(n, i), (n, i)
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("i", range(0, 11))
