@@ -2,6 +2,11 @@
 spherical design strength, integrality root filters, and the complete
 classification of shell-count equality."""
 
+import os
+
+# before numpy loads: no OpenBLAS workers under the pair kernel's pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._version import __version__
 from .exactpoly import (
     Poly,

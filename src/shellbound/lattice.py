@@ -132,6 +132,8 @@ class Shell:
     lattice: GramLattice
 
     def __post_init__(self):
+        if not isinstance(self.vectors, np.ndarray) or self.vectors.ndim != 2:
+            raise ValueError("shell vectors must be a 2-D numpy array")
         # shells are cached and shared, so nobody may write into them
         self.vectors.flags.writeable = False
 
@@ -309,7 +311,9 @@ def gram_products(A, gram, B=None) -> np.ndarray:
 
 def worker_count(threads: int) -> int:
     """threads, at least 1 and at most the number of usable CPUs: the cap on
-    the pair kernel's thread pool, the only pool."""
+    the pair kernel's thread pool, the only pool.  Importing the package pins
+    OpenBLAS to one thread (unless OPENBLAS_NUM_THREADS is already set or
+    numpy was imported first), so no BLAS threads nest under the pool."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -477,8 +481,12 @@ def shell_count(L: GramLattice, k: int) -> int:
 # Scans the integer box |x_i| <= b_i = isqrt(k * cof_ii // det G), where
 # cof_ii / det G = (G^-1)_ii comes from exact principal minors: Cauchy-Schwarz
 # in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the box holds every
-# vector of norm k.  Shares only the exact elimination with the search above;
-# intended for cross-checking it on small dimensions.
+# vector of norm k.  The scan fixes a prefix p of leading coordinates (at
+# least one from rank 2 up) so that the grid of tails t has at most
+# _ORACLE_BLOCK_ROWS rows, forms q_t = t^T G_tt t once, and keeps the tails with
+# q_t + t . (2 G_tp p) == k - p^T G_pp p, all in int64; only hits become full
+# rows.  Shares only the exact elimination with the search above; intended for
+# cross-checking it on small dimensions.
 
 _ORACLE_BLOCK_ROWS = 250_000
 
@@ -502,33 +510,28 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
     n = L.n
     bounds = _box_bounds(L, k)
     if product_dtype(max(bounds), L.gram) is not np.float64:
-        # the float64 norms of the scan would stop being exact integers
+        # the bound that keeps every partial sum of the scan below 2**52
         raise ValueError("oracle box too large for an exact float64 scan")
-    Gf = np.array(L.gram, dtype=np.float64)
+    G = np.array(L.gram, dtype=np.int64)
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 
-    # assign leading coordinates explicitly so each grid chunk stays small
-    lead = 0
+    lead = min(1, n - 1)
     while math.prod(len(r) for r in ranges[lead:]) > _ORACLE_BLOCK_ROWS and lead < n - 1:
         lead += 1
 
     grids = np.meshgrid(*ranges[lead:], indexing="ij")
     tail = np.stack([g.ravel() for g in grids], axis=1)
+    tail_norms = np.einsum("ij,ij->i", tail @ G[lead:, lead:], tail)
+    cross = 2 * G[lead:, :lead]
     hits = []
-
-    def scan(prefix):
-        block = np.empty((tail.shape[0], n), dtype=np.int64)
-        block[:, :lead] = prefix
-        block[:, lead:] = tail
-        Bf = block.astype(np.float64)
-        norms = np.rint(np.einsum("ij,ij->i", Bf @ Gf, Bf)).astype(np.int64)
-        hits.append(block[norms == k])
-
     # with lead == 0 the product yields one empty prefix: the whole box
     for prefix in itertools.product(*(r.tolist() for r in ranges[:lead])):
-        scan(np.array(prefix, dtype=np.int64))
+        p = np.array(prefix, dtype=np.int64)
+        rest = k - int(p @ G[:lead, :lead] @ p)
+        hit = tail[tail_norms + tail @ (cross @ p) == rest]
+        hits.append(np.hstack([np.broadcast_to(p, (len(hit), lead)), hit]))
 
-    # the blocks are disjoint, so the hits are distinct
+    # the prefixes are distinct, so the hits are distinct
     return Shell(k=k, vectors=sort_rows(np.concatenate(hits)), lattice=L)
 
 

@@ -13,6 +13,7 @@ from shellbound.lattice import (
     GramLattice,
     InvalidGramError,
     LatticeFormatError,
+    Shell,
     brute_force_shell,
     builtin,
     enumerate_shell,
@@ -27,7 +28,7 @@ from shellbound.lattice import (
     shell_count,
     span_of,
 )
-from shellbound.lattice import _box_bounds, _isqrt, _pair_reduce, _search
+from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _isqrt, _pair_reduce, _search
 
 
 class TestGramLattice:
@@ -279,12 +280,28 @@ class TestShellArray:
         assert (gram_products(V, S.lattice.gram) == k).all()
         assert V.dtype == (object if k >= 2**126 else np.int64)
 
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1], [1, 0]], np.array([0, 1]), np.zeros((1, 1, 2), dtype=np.int64)]
+    )
+    def test_rows_must_be_a_2d_array(self, rows):
+        with pytest.raises(ValueError, match="2-D"):
+            Shell(1, rows, builtin("zn:2"))
+
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("name", ["zn:2", "zn:3", "an:2", "an:3", "dn:3", "dn:4", "scaledz:2", "scaledz:9"])
     @pytest.mark.parametrize("k", range(1, 5))
     def test_agreement(self, name, k):
         L = builtin(name)
+        assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
+
+    @pytest.mark.parametrize("name, k, lead", [("zn:6", 25, 1), ("zn:6", 36, 2), ("scaledz:2", 8, 0)])
+    def test_agreement_in_slices(self, name, k, lead):
+        # lead: the coordinates the scan must fix so the rest fits a block
+        L = builtin(name)
+        sizes = [2 * b + 1 for b in _box_bounds(L, k)]
+        assert math.prod(sizes[lead:]) <= _ORACLE_BLOCK_ROWS
+        assert lead == 0 or math.prod(sizes[lead - 1 :]) > _ORACLE_BLOCK_ROWS
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
 
     @pytest.mark.parametrize("name", _C11_BUILTINS)
@@ -308,6 +325,16 @@ class TestBruteForceOracle:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_scan_builds_no_whole_box(self):
+        # dn:6 at k=6 has a 139k-row box; only the hits become full rows
+        tracemalloc.start()
+        try:
+            brute_force_shell(builtin("dn:6"), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_box_past_exact_float64_raises(self):
         # Z^2 in a Fibonacci basis (det 1): the box is about 1.6e4 x 2.6e4
