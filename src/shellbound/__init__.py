@@ -27,8 +27,10 @@ from .lattice import (
     Shell,
     SpanBasis,
     brute_force_shell,
+    brute_force_shells,
     builtin,
     enumerate_shell,
+    enumerate_shells,
     gram_det,
     hermite_normal_form,
     inner,
@@ -84,7 +86,8 @@ __all__ = [
     # lattice
     "GramLattice", "Shell", "SpanBasis",
     "LatticeError", "InvalidGramError", "LatticeFormatError",
-    "builtin", "inner", "enumerate_shell", "shell_count", "brute_force_shell",
+    "builtin", "inner", "enumerate_shell", "enumerate_shells", "shell_count",
+    "brute_force_shell", "brute_force_shells",
     "hermite_normal_form", "span_of", "gram_det", "is_even",
     "lattice_from_document", "lattice_to_document",
     # design

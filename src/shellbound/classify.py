@@ -58,6 +58,9 @@ ZN = "ZN"
 E8 = "E8"
 NONE = "NONE"
 
+# the consequences of equality that classify certifies, by evidence key
+CONSEQUENCES = ("spectrum_complete", "strength_at_least_required", "tight", "annihilator_identity")
+
 
 @dataclass(frozen=True)
 class EqualityReport:
@@ -202,12 +205,7 @@ def classify(
         "tight": report.tight,
         "annihilator_identity": annihilator_identity_holds(L, k, shell=S, spectrum_values=sp),
     }
-    consequences_ok = (
-        evidence["spectrum_complete"]
-        and evidence["strength_at_least_required"]
-        and evidence["tight"]
-        and evidence["annihilator_identity"]
-    )
+    consequences_ok = all(evidence[key] for key in CONSEQUENCES)
 
     if k == 1:
         ortho = orthonormal_system(S)

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ._version import __version__
-from .classify import E8, NONE, RANK1, ZN, CertificationError, classify
+from .classify import CONSEQUENCES, E8, NONE, RANK1, ZN, CertificationError, classify
 from .design import design_strength, moment_sum, pair_distribution, spectrum
 from .exactpoly import (
     binom,
@@ -49,9 +49,10 @@ from .lattice import (
     GramLattice,
     InvalidGramError,
     LatticeFormatError,
-    brute_force_shell,
+    brute_force_shells,
     builtin,
     enumerate_shell,
+    enumerate_shells,
     lattice_from_document,
     lattice_to_document,
 )
@@ -249,6 +250,13 @@ class VerifyContext:
             self._shells[key] = enumerate_shell(self.lattice(name), k)
         return self._shells[key]
 
+    def shells(self, name: str, kmax: int) -> Dict:
+        """{k: shell} for 1 <= k <= kmax, from one search unless all are cached."""
+        if any((name, k) not in self._shells for k in range(1, kmax + 1)):
+            for k, S in enumerate_shells(self.lattice(name), kmax).items():
+                self._shells.setdefault((name, k), S)
+        return {k: self._shells[name, k] for k in range(1, kmax + 1)}
+
     def classify(self, name: str, k: int):
         """The equality report of the cached norm-k shell: the only place a
         criterion gets an equality certificate from."""
@@ -376,16 +384,13 @@ _C08_BUILTINS = [
 
 
 def _c08_universal_inequality(ctx: VerifyContext) -> Dict:
-    checked = 0
+    checked = 6 * len(_C08_BUILTINS)
     for name in _C08_BUILTINS:
-        L = ctx.lattice(name)
-        for k in range(1, 7):
-            count = len(ctx.shell(name, k).vectors)
+        for k, S in ctx.shells(name, 6).items():
             _require(
-                count <= shell_bound(L.n, k),
-                f"{name} k={k}: count {count} exceeds the bound",
+                len(S) <= shell_bound(S.lattice.n, k),
+                f"{name} k={k}: count {len(S)} exceeds the bound",
             )
-            checked += 1
     leech = "skipped (needs --include-slow)"
     if ctx.include_slow:
         count = len(ctx.shell("leech", 4).vectors)
@@ -395,15 +400,11 @@ def _c08_universal_inequality(ctx: VerifyContext) -> Dict:
     return {"pairs_checked": checked, "leech_k4": leech}
 
 
-# the consequences of equality that classify certifies, by evidence key
-_CONSEQUENCES = ("spectrum_complete", "strength_at_least_required", "tight", "annihilator_identity")
-
-
 def _c09_equality_consequences(ctx: VerifyContext) -> Dict:
     for name, k in [(f"zn:{n}", 1) for n in range(2, 11)] + [("e8", 2)]:
         report = ctx.classify(name, k)
         _require(report.equality, f"{name} k={k}: count {report.count} misses the bound {report.bound}")
-        for key in _CONSEQUENCES:
+        for key in CONSEQUENCES:
             _require(report.evidence[key], f"{name} k={k}: {key} fails")
     return {"cubic_dims": [2, 10], "root_lattice": "e8"}
 
@@ -450,14 +451,17 @@ def _inner_tally(S) -> Counter:
     tallied by value in Python ints.  Row N-1-i is minus row i (checked, else
     CertificationError), so the upper half R holds one vector per +-pair and,
     with H the tally over R x R, the full tally is T(v) = 2 (H(v) + H(-v)).
-    G z is formed once per z, so each pair costs one n-term dot product;
-    tests pin T to lattice.inner over all N^2 pairs."""
+    The form is symmetric, so H visits each unordered pair once: twice the
+    strict triangle plus the diagonal.  G z is formed once per z, so
+    each pair costs one n-term dot product; tests pin T to lattice.inner over
+    all N^2 pairs."""
     V = S.vectors
     if len(V) % 2 or not np.array_equal(V[::-1], -V):
         raise CertificationError("C11 tally needs shell rows antipodal in canonical order")
     R = V[len(V) // 2 :].tolist()
     W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in R]
-    H = Counter(sum(map(int.__mul__, y, w)) for y in R for w in W)
+    upper = Counter(sum(map(int.__mul__, R[j], w)) for i, w in enumerate(W) for j in range(i))
+    H = upper + upper + Counter(sum(map(int.__mul__, y, w)) for y, w in zip(R, W))
     return Counter({v: 2 * (H[v] + H[-v]) for v in H.keys() | {-v for v in H}})
 
 
@@ -468,16 +472,13 @@ def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:
 
 
 def _c11_oracles(ctx: VerifyContext) -> Dict:
-    lattices = 0
     moment_checks = 0
     for name in _C11_BUILTINS:
         L = ctx.lattice(name)
-        lattices += 1
-        for k in range(1, 7):
-            fast = ctx.shell(name, k)
-            slow = brute_force_shell(L, k)
+        slow = brute_force_shells(L, 6)
+        for k, fast in ctx.shells(name, 6).items():
             _require(
-                np.array_equal(fast.vectors, slow.vectors),
+                np.array_equal(fast.vectors, slow[k].vectors),
                 f"{name} k={k}: tree search and box search disagree",
             )
             size = len(fast.vectors)
@@ -490,7 +491,7 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
                         f"{name} k={k} i={i}: moment mismatch",
                     )
                     moment_checks += 1
-    return {"lattices": lattices, "k_range": [1, 6], "moment_checks": moment_checks}
+    return {"lattices": len(_C11_BUILTINS), "k_range": [1, 6], "moment_checks": moment_checks}
 
 
 def _tampered_e8() -> GramLattice:

@@ -33,8 +33,10 @@ __all__ = [
     "gram_products",
     "worker_count",
     "enumerate_shell",
+    "enumerate_shells",
     "shell_count",
     "brute_force_shell",
+    "brute_force_shells",
     "hermite_normal_form",
     "span_of",
     "gram_det",
@@ -63,7 +65,7 @@ def _elimination(rows):
     """Fraction-free (Bareiss) elimination of a symmetric integer matrix, or
     None when it is not positive definite (some pivot D_t <= 0).  Row t holds
     from column t on the entries after t steps: a[t][t] = D_t is the leading
-    minor of order t+1, and a[-1][-1] the determinant."""
+    minor of order t+1, and a[-1][-1] the determinant.  Rows are tuples."""
     a = [[int(x) for x in row] for row in rows]
     n = len(a)
     prev = 1
@@ -75,17 +77,18 @@ def _elimination(rows):
             for j in range(t + 1, n):
                 a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
         prev = piv
-    return a
+    return tuple(map(tuple, a))
 
 
 class GramLattice:
     """An integral lattice given by its integer Gram matrix.
 
     Construction validates that the matrix is square, integer, symmetric, and
-    positive definite (all leading principal minors positive, checked exactly).
+    positive definite (all leading principal minors positive, checked exactly
+    by the fraction-free elimination it keeps for the search and the oracle).
     """
 
-    __slots__ = ("n", "gram", "name")
+    __slots__ = ("n", "gram", "name", "elimination")
 
     def __init__(self, gram, name: Optional[str] = None):
         rows = tuple(tuple(x for x in row) for row in gram)
@@ -100,7 +103,8 @@ class GramLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidGramError("gram matrix must be symmetric")
-        if _elimination(rows) is None:
+        self.elimination = _elimination(rows)
+        if self.elimination is None:
             raise InvalidGramError("gram matrix must be positive definite")
         self.n = n
         self.gram = rows
@@ -329,12 +333,15 @@ def worker_count(threads: int) -> int:
 # b_t = a_t[t+1:] . y[t+1:], the norm is sum_t (D_t y_t + b_t)**2 / (D_{t-1} D_t).
 # So with P = D_t times the norm of the levels above t, the admissible y_t
 # satisfy (D_t y_t + b_t)**2 <= D_{t-1} (k D_t - P), and the next level's P is
-# (D_{t-1} P + (D_t y_t + b_t)**2) / D_t exactly.  At t = 0 the norm is k where
-# k D_0 - P is a square.  No bound is rounded, so the search is complete in any
-# basis; a pairwise reduction first shortens skewed ones.  Frontiers are whole
-# numpy arrays, searched in chunks above _CHUNK_ROWS rows.  Antipodal halving
-# keeps one vector per +-pair (the highest-index nonzero coordinate is
-# positive); every vector is produced once, so sorting makes the order canonical.
+# (D_{t-1} P + (D_t y_t + b_t)**2) / D_t exactly, the norm itself after t = 0.
+# The tree at bound k holds every norm <= k: for kmin < k the t = 0 level walks
+# its interval like any other and keeps the norms >= kmin; for kmin == k it
+# solves for norm k, where k D_0 - P is a square.  No bound is rounded, so the
+# search is complete in any basis; a pairwise reduction first shortens skewed
+# ones.  Frontiers are whole numpy arrays, searched in chunks above _CHUNK_ROWS
+# rows.  Antipodal halving keeps one vector per +-pair (the highest-index
+# nonzero coordinate is positive); every vector is produced once, so sorting
+# makes the order canonical.
 
 _CHUNK_ROWS = 250_000
 
@@ -371,9 +378,10 @@ def _children(coords, zflag, lo, hi, col):
     return idx, vals, newc
 
 
-def _search(gram, k: int) -> np.ndarray:
-    """One int64 row per +-pair of the integer vectors y with y^T G y = k."""
-    a = _elimination(gram)
+def _search(gram, kmin: int, k: int, a=None):
+    """(rows, norms): one int64 row per +-pair of the integer vectors y with
+    kmin <= y^T G y <= k, and their norms; a is gram's elimination, if known."""
+    a = a or _elimination(gram)
     n = len(a)
     D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
     # Every intermediate is at most k*D_{t-1}*D_t + max|b_t|, and Hadamard's
@@ -383,7 +391,7 @@ def _search(gram, k: int) -> np.ndarray:
     dtype = _int_dtype(max(bmax, max(k * D[t] * D[t + 1] for t in range(n))))
     A = np.array([[a[t][j] if j > t else 0 for j in range(n)] for t in range(n)], dtype=dtype)
 
-    out = [np.empty((0, n), dtype=np.int64)]  # when nothing is found
+    out, norms = [np.empty((0, n), dtype=np.int64)], [np.empty(0, dtype=dtype)]  # when nothing is found
     stack = [(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)]
     while stack:
         y, P, z, t = stack.pop()
@@ -394,7 +402,7 @@ def _search(gram, k: int) -> np.ndarray:
         b = y @ A[t]
         rhs = D[t] * (k * D[t + 1] - P)
         r = _isqrt(rhs)
-        if t == 0:
+        if t == 0 and kmin == k:
             # norm exactly k: D_0 y_0 + b = +-r with r**2 = rhs; the root -r is
             # skipped where it repeats +r and where y_0 must be positive
             num = np.concatenate([r - b, -r - b])
@@ -403,14 +411,21 @@ def _search(gram, k: int) -> np.ndarray:
             done = np.concatenate([y, y])[keep]
             done[:, 0] = num[keep] // D[1]
             out.append(done.astype(np.int64))
+            norms.append(np.full(len(done), k, dtype=dtype))
             continue
         ch = _children(y, z, -((r + b) // D[t + 1]), (r - b) // D[t + 1], t)
         if ch is None:
             continue
         idx, vals, newy = ch
         c = D[t + 1] * vals + b[idx]
-        stack.append((newy, (D[t] * P[idx] + c * c) // D[t + 1], z[idx] & (vals == 0), t - 1))
-    return np.concatenate(out)
+        newP = (D[t] * P[idx] + c * c) // D[t + 1]
+        if t == 0:
+            keep = newP >= kmin
+            out.append(newy[keep].astype(np.int64))
+            norms.append(newP[keep])
+            continue
+        stack.append((newy, newP, z[idx] & (vals == 0), t - 1))
+    return np.concatenate(out), np.concatenate(norms)
 
 
 def _pair_reduce(gram):
@@ -443,31 +458,42 @@ def sort_rows(V: np.ndarray) -> np.ndarray:
     return V[np.lexsort(V.T[::-1])]
 
 
-def enumerate_shell(L: GramLattice, k: int) -> Shell:
-    """All lattice vectors of squared norm exactly k, sorted lexicographically,
-    from one exact search in a pairwise reduced basis."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+def _bucket(L: GramLattice, kmin: int, kmax: int, rows, norms) -> dict:
+    """{k: Shell} for kmin <= k <= kmax from distinct rows, their norms all in that range."""
+    if kmin == kmax:  # no mask, so no copy of a large single shell
+        return {kmax: Shell(k=kmax, vectors=sort_rows(rows), lattice=L)}
+    return {k: Shell(k=k, vectors=sort_rows(rows[norms == k]), lattice=L) for k in range(kmin, kmax + 1)}
+
+
+def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
+    """{k: Shell} of all lattice vectors of squared norm k, for every k from
+    kmin to kmax, from one exact search in a pairwise reduced basis."""
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
         raise ValueError("k must be a positive integer")
     n = L.n
-
     if n == 1:
         q = L.gram[0][0]
-        r = math.isqrt(k // q)
-        if r * r * q != k:
-            return Shell(k=k, vectors=np.empty((0, 1), dtype=np.int64), lattice=L)
+        r = range(math.isqrt((kmin - 1) // q) + 1, math.isqrt(kmax // q) + 1)
         # numpy would pick float64 for [-2**63, 2**63]; object keeps r exact
-        vectors = np.array([[-r], [r]], dtype=np.int64 if r < 2**63 else object)
-        return Shell(k=k, vectors=vectors, lattice=L)
+        reps = np.array(r, dtype=np.int64 if not r or r[-1] < 2**63 else object).reshape(-1, 1)
+        norms = np.array([q * x * x for x in r] * 2, dtype=object)
+        return _bucket(L, kmin, kmax, np.concatenate([reps, -reps]), norms)
 
     G, U = _pair_reduce(L.gram)
-    reps = _search(G, k)
-    if U != _identity(n):
+    identity = U == _identity(n)
+    reps, norms = _search(G, kmin, kmax, L.elimination if identity else None)
+    if not identity:
         # x = U y, in a dtype that holds every partial sum of |U_ij y_j|
         dtype = _int_dtype(max(sum(map(abs, row)) for row in U) * int(np.abs(reps).max(initial=1)))
         reps = reps.astype(dtype) @ np.array(U, dtype=dtype).T
-    if not (gram_products(reps, L.gram) == k).all():
-        raise CertificationError(f"a vector of the norm-{k} search fails the exact norm check")
-    return Shell(k=k, vectors=sort_rows(np.concatenate([reps, -reps])), lattice=L)
+    if not (gram_products(reps, L.gram) == norms).all():
+        raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+    return _bucket(L, kmin, kmax, np.concatenate([reps, -reps]), np.concatenate([norms, norms]))
+
+
+def enumerate_shell(L: GramLattice, k: int) -> Shell:
+    """All lattice vectors of squared norm exactly k, sorted lexicographically."""
+    return enumerate_shells(L, k, kmin=k)[k]
 
 
 def shell_count(L: GramLattice, k: int) -> int:
@@ -478,22 +504,23 @@ def shell_count(L: GramLattice, k: int) -> int:
 # ---------------------------------------------------------------------------
 # independent brute-force oracle
 #
-# Scans the integer box |x_i| <= b_i = isqrt(k * cof_ii // det G), where
+# Scans the integer box |x_i| <= b_i = isqrt(kmax * cof_ii // det G), where
 # cof_ii / det G = (G^-1)_ii comes from exact principal minors: Cauchy-Schwarz
-# in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the box holds every
-# vector of norm k.  The scan fixes a prefix p of leading coordinates (at
-# least one from rank 2 up) so that the grid of tails t has at most
-# _ORACLE_BLOCK_ROWS rows, forms q_t = t^T G_tt t once, and keeps the tails with
-# q_t + t . (2 G_tp p) == k - p^T G_pp p, all in int64; only hits become full
-# rows.  Shares only the exact elimination with the search above; intended for
-# cross-checking it on small dimensions.
+# in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the norm-kmax box holds
+# every vector of norm <= kmax, and one scan buckets its hits by exact norm.
+# The scan fixes a prefix p of leading coordinates (at least one from rank 2
+# up) so that the grid of tails t has at most _ORACLE_BLOCK_ROWS rows, builds
+# that grid once and forms q_t = t^T G_tt t once, column by column, and keeps
+# the tails with kmin <= p^T G_pp p + q_t + t . (2 G_tp p) <= kmax, all in
+# int64; only hits become full rows.  Shares only the exact elimination with
+# the search above; intended for cross-checking it on small dimensions.
 
 _ORACLE_BLOCK_ROWS = 250_000
 
 
 def _box_bounds(L: GramLattice, k: int) -> list:
-    """b_i, per coordinate i, with |x_i| <= b_i on the norm-k shell."""
-    det = _elimination(L.gram)[-1][-1]
+    """b_i, per coordinate i, with |x_i| <= b_i on the shells of norm <= k."""
+    det = L.elimination[-1][-1]
     bounds = []
     for i in range(L.n):
         # the principal minor without row and column i (1 for rank 1)
@@ -503,12 +530,13 @@ def _box_bounds(L: GramLattice, k: int) -> list:
     return bounds
 
 
-def brute_force_shell(L: GramLattice, k: int) -> Shell:
-    """Reference enumeration by exhaustive box scan; exponential in dimension."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
+    """{k: Shell} for kmin <= k <= kmax by one exhaustive scan of the norm-kmax
+    box; exponential in dimension."""
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
         raise ValueError("k must be a positive integer")
     n = L.n
-    bounds = _box_bounds(L, k)
+    bounds = _box_bounds(L, kmax)
     if product_dtype(max(bounds), L.gram) is not np.float64:
         # the bound that keeps every partial sum of the scan below 2**52
         raise ValueError("oracle box too large for an exact float64 scan")
@@ -519,20 +547,39 @@ def brute_force_shell(L: GramLattice, k: int) -> Shell:
     while math.prod(len(r) for r in ranges[lead:]) > _ORACLE_BLOCK_ROWS and lead < n - 1:
         lead += 1
 
-    grids = np.meshgrid(*ranges[lead:], indexing="ij")
-    tail = np.stack([g.ravel() for g in grids], axis=1)
-    tail_norms = np.einsum("ij,ij->i", tail @ G[lead:, lead:], tail)
+    sizes = [len(r) for r in ranges[lead:]]
+    tail = np.empty((math.prod(sizes), n - lead), dtype=np.int64)
+    grid = tail.reshape(*sizes, n - lead)
+    for j, r in enumerate(ranges[lead:]):
+        grid[..., j] = r.reshape([-1 if i == j else 1 for i in range(n - lead)])
+    # w is the one grid-length work column, reused in place
+    tail_norms, w = np.zeros(len(tail), dtype=np.int64), np.empty(len(tail), dtype=np.int64)
+    for j in range(n - lead):
+        np.matmul(tail, G[lead:, lead + j], out=w)
+        w *= tail[:, j]
+        tail_norms += w
     cross = 2 * G[lead:, :lead]
-    hits = []
+    hits, norms = [], []
     # with lead == 0 the product yields one empty prefix: the whole box
     for prefix in itertools.product(*(r.tolist() for r in ranges[:lead])):
         p = np.array(prefix, dtype=np.int64)
-        rest = k - int(p @ G[:lead, :lead] @ p)
-        hit = tail[tail_norms + tail @ (cross @ p) == rest]
+        np.matmul(tail, cross @ p, out=w)
+        w += tail_norms
+        w += int(p @ G[:lead, :lead] @ p)
+        keep = w >= kmin
+        keep &= w <= kmax
+        hit = tail[keep]
         hits.append(np.hstack([np.broadcast_to(p, (len(hit), lead)), hit]))
+        norms.append(w[keep])
 
+    del grid, tail, tail_norms, w  # free the grid before the hits are sorted
     # the prefixes are distinct, so the hits are distinct
-    return Shell(k=k, vectors=sort_rows(np.concatenate(hits)), lattice=L)
+    return _bucket(L, kmin, kmax, np.concatenate(hits), np.concatenate(norms))
+
+
+def brute_force_shell(L: GramLattice, k: int) -> Shell:
+    """Reference enumeration of the norm-k shell by exhaustive box scan."""
+    return brute_force_shells(L, k, kmin=k)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,18 @@ class TestErrorExits:
 
     def test_failed_norm_check(self, monkeypatch, capsys):
         # a search vector of the wrong norm is a bug: exit 1, nothing printed
+        self._assert_norm_check_fails(monkeypatch, capsys, ["shell", "--lattice", "zn:2", "--k", "1"])
+
+    def test_failed_norm_check_in_range_search(self, monkeypatch, capsys):
+        # C08 searches norms 1..6 of zn:2 in one range search
+        self._assert_norm_check_fails(monkeypatch, capsys, ["verify-paper", "--criteria", "C08", "--quiet"])
+
+    @staticmethod
+    def _assert_norm_check_fails(monkeypatch, capsys, argv):
+        # the row [1, 1] has norm 2 on zn:2, not the k it is reported with
         mod = importlib.import_module("shellbound.lattice")
-        monkeypatch.setattr(mod, "_search", lambda gram, k: np.array([[1, 1]]))
-        assert cli.main(["shell", "--lattice", "zn:2", "--k", "1"]) == 1
+        monkeypatch.setattr(mod, "_search", lambda gram, kmin, k, a=None: (np.array([[1, 1]]), np.array([k])))
+        assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "norm check" in err
@@ -296,6 +305,27 @@ class TestVerifyPaper:
         capsys.readouterr()
         # one certificate per equality case: zn:2 to zn:24 at norm 1, e8 at norm 2
         assert len(calls) == 24
+
+    def test_one_search_and_one_box_scan_per_lattice(self, monkeypatch, capsys):
+        # C08 and C11 cover norms 1..6 of each lattice with one tree search
+        # (shared through the cache) and C11 with one oracle box scan
+        mod = importlib.import_module("shellbound.lattice")
+        searches, scans = Counter(), Counter()
+
+        def counting(fn, counter):
+            def wrapper(L, *args, **kwargs):
+                counter[L.name] += 1
+                return fn(L, *args, **kwargs)
+            return wrapper
+
+        search = counting(mod.enumerate_shells, searches)
+        monkeypatch.setattr(mod, "enumerate_shells", search)
+        monkeypatch.setattr(cli, "enumerate_shells", search)
+        monkeypatch.setattr(mod, "_box_bounds", counting(mod._box_bounds, scans))
+        assert cli.main(["verify-paper", "--criteria", "C08,C11", "--quiet", "--threads", "1"]) == 0
+        capsys.readouterr()
+        assert searches == Counter(set(cli._C08_BUILTINS) | set(cli._C11_BUILTINS))
+        assert scans == Counter(cli._C11_BUILTINS)
 
 
 def test_c11_tally_matches_scalar_inner():

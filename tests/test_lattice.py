@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shellbound.cli import _C11_BUILTINS
@@ -15,8 +15,10 @@ from shellbound.lattice import (
     LatticeFormatError,
     Shell,
     brute_force_shell,
+    brute_force_shells,
     builtin,
     enumerate_shell,
+    enumerate_shells,
     gram_det,
     gram_products,
     hermite_normal_form,
@@ -28,7 +30,7 @@ from shellbound.lattice import (
     shell_count,
     span_of,
 )
-from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _isqrt, _pair_reduce, _search
+from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _elimination, _isqrt, _pair_reduce, _search
 
 
 class TestGramLattice:
@@ -65,6 +67,12 @@ class TestGramLattice:
         b = GramLattice([[1, 0], [0, 1]])
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("name", ["zn:3", "an:4", "dn:5", "e8", "scaledz:9"])
+    def test_keeps_its_elimination(self, name):
+        L = builtin(name)
+        assert L.elimination == _elimination(L.gram)
+        assert L.elimination[-1][-1] == gram_det(span_of(np.identity(L.n, dtype=int).tolist(), L))
 
 
 class TestBuiltinCatalog:
@@ -190,8 +198,14 @@ class TestEnumerateShell:
 
     @pytest.mark.parametrize("name, k", [("e8", 2), ("zn:3", 1), ("dn:4", 4), ("an:3", 2)])
     def test_search_emits_each_candidate_once(self, name, k):
-        cand = _search(builtin(name).gram, k)
-        assert len(np.unique(cand, axis=0)) == len(cand)
+        # both the root solve (kmin == k) and the range walk (kmin < k)
+        gram = builtin(name).gram
+        for kmin in (k, 1):
+            cand, norms = _search(gram, kmin, k)
+            assert len(np.unique(cand, axis=0)) == len(cand)
+            assert len(np.unique(np.concatenate([cand, -cand]), axis=0)) == 2 * len(cand)
+            assert norms.tolist() == gram_products(cand, gram).tolist()
+            assert ((kmin <= norms) & (norms <= k)).all()
 
     @pytest.mark.parametrize("name", ["zn:3", "an:6", "dn:8", "e8", "leech"])
     def test_pair_reduction_keeps_catalog_bases(self, name):
@@ -288,6 +302,78 @@ class TestShellArray:
             Shell(1, rows, builtin("zn:2"))
 
 
+# every norm up to K: zn/an/dn through rank 6, e8, and rank 1
+_BATCH_CASES = (
+    [(f"{family}:{n}", 6) for family, least in (("zn", 1), ("an", 1), ("dn", 2)) for n in range(least, 7)]
+    + [("e8", 4)] + [(f"scaledz:{q}", 40) for q in (1, 2, 4, 9)]
+)
+
+
+@st.composite
+def _unimodular_rebase(draw):
+    """A catalog lattice in the basis B after 1 to 12 column operations
+    b_i += c b_j with 2 <= |c| <= 4."""
+    name = draw(st.sampled_from(["zn:2", "zn:3", "zn:4", "an:3", "an:4", "dn:4", "dn:5"]))
+    G = builtin(name).gram
+    n = len(G)
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 12))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from([-4, -3, -2, 2, 3, 4]))
+        for row in B:
+            row[i] += c * row[j]
+    gram = [[sum(B[a][p] * G[a][b] * B[b][q] for a in range(n) for b in range(n))
+             for q in range(n)] for p in range(n)]
+    return name, GramLattice(gram)
+
+
+class TestBatchedShells:
+    @pytest.mark.parametrize("name, K", _BATCH_CASES)
+    def test_one_search_gives_every_shell(self, name, K):
+        L = builtin(name)
+        shells = enumerate_shells(L, K)
+        assert list(shells) == list(range(1, K + 1))
+        for k, S in shells.items():
+            assert (S.k, S.lattice) == (k, L)
+            assert not S.vectors.flags.writeable
+            assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
+
+    @pytest.mark.parametrize("name, K", [case for case in _BATCH_CASES if case[0] != "e8"])
+    def test_one_box_scan_gives_every_shell(self, name, K):
+        L = builtin(name)
+        shells = brute_force_shells(L, K)
+        assert list(shells) == list(range(1, K + 1))
+        for k, S in shells.items():
+            assert S.k == k
+            assert np.array_equal(S.vectors, brute_force_shell(L, k).vectors)
+            assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
+
+    def test_norm_range_with_both_ends_inside(self):
+        L = builtin("dn:4")
+        assert {k: len(S) for k, S in enumerate_shells(L, 6, kmin=3).items()} == {3: 0, 4: 24, 5: 0, 6: 96}
+        assert {k: len(S) for k, S in brute_force_shells(L, 6, kmin=3).items()} == {3: 0, 4: 24, 5: 0, 6: 96}
+
+    @pytest.mark.parametrize("bad", [(0, 1), (3, 0), (2, True), (2.0, 1)])
+    def test_rejects_bad_norms(self, bad):
+        kmax, kmin = bad
+        for batched in (enumerate_shells, brute_force_shells):
+            with pytest.raises(ValueError, match="positive integer"):
+                batched(builtin("zn:2"), kmax, kmin=kmin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_unimodular_rebase())
+    def test_rebased_basis_maps_every_shell_back(self, case):
+        # U != identity: the search runs on G' = U^T G U with G' eliminated anew
+        name, L = case
+        # operations that cancel can leave a basis the reduction keeps as is
+        assume(_pair_reduce(L.gram)[1] != [[int(i == j) for j in range(L.n)] for i in range(L.n)])
+        shells = enumerate_shells(L, 4)
+        for k, S in shells.items():
+            assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
+            assert len(S) == len(enumerate_shell(builtin(name), k))
+            assert (gram_products(S.vectors, L.gram) == k).all()
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize("name", ["zn:2", "zn:3", "an:2", "an:3", "dn:3", "dn:4", "scaledz:2", "scaledz:9"])
     @pytest.mark.parametrize("k", range(1, 5))
@@ -335,6 +421,17 @@ class TestBruteForceOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_tail_grid_is_built_once(self):
+        # zn:6 at k=25: the 161051 x 5 int64 tail grid is 6.1 MB; no meshgrid,
+        # stacked copy or grid-sized product may sit beside it
+        tracemalloc.start()
+        try:
+            brute_force_shell(builtin("zn:6"), 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_box_past_exact_float64_raises(self):
         # Z^2 in a Fibonacci basis (det 1): the box is about 1.6e4 x 2.6e4
