@@ -68,10 +68,7 @@ from .classify import (
     RANK1,
     ZN,
     EqualityReport,
-    SpanClassification,
-    check_equality,
     classify,
-    classify_shell_generated,
     orthonormal_system,
     recognize_e8,
     reflection_closure,
@@ -100,7 +97,6 @@ __all__ = [
     "norm3_filter_contradiction", "circle_exclusion", "allowed_tight_strengths",
     # classify
     "RANK1", "ZN", "E8", "NONE",
-    "EqualityReport", "SpanClassification",
-    "check_equality", "orthonormal_system", "reflection_closure",
-    "recognize_e8", "classify", "classify_shell_generated",
+    "EqualityReport", "orthonormal_system", "reflection_closure",
+    "recognize_e8", "classify",
 ]

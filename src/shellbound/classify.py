@@ -44,13 +44,10 @@ __all__ = [
     "NONE",
     "CertificationError",
     "EqualityReport",
-    "SpanClassification",
-    "check_equality",
     "orthonormal_system",
     "reflection_closure",
     "recognize_e8",
     "classify",
-    "classify_shell_generated",
 ]
 
 RANK1 = "RANK1"
@@ -71,22 +68,6 @@ class EqualityReport:
     equality: bool
     case: str
     evidence: Dict
-
-
-@dataclass(frozen=True)
-class SpanClassification:
-    rank: int
-    saturates_in_span: bool
-    case: str
-    report: EqualityReport
-
-
-def check_equality(L: GramLattice, k: int, shell: Optional[Shell] = None):
-    """Exact (count, bound, equality) triple for the norm-k shell."""
-    S = shell if shell is not None else enumerate_shell(L, k)
-    count = len(S.vectors)
-    bound = shell_bound(L.n, k)
-    return count, bound, count == bound
 
 
 def orthonormal_system(S: Shell):
@@ -174,7 +155,8 @@ def classify(
     """
     S = shell if shell is not None else enumerate_shell(L, k)
     n = L.n
-    count, bound, equality = check_equality(L, k, shell=S)
+    count, bound = len(S.vectors), shell_bound(n, k)
+    equality = count == bound
     evidence: Dict = {}
 
     if n == 1:
@@ -203,7 +185,7 @@ def classify(
         "strength": report.strength,
         "strength_at_least_required": report.strength >= 4 * k - 1,
         "tight": report.tight,
-        "annihilator_identity": annihilator_identity_holds(L, k, shell=S, spectrum_values=sp),
+        "annihilator_identity": annihilator_identity_holds(n, sp),
     }
     consequences_ok = all(evidence[key] for key in CONSEQUENCES)
 
@@ -236,26 +218,3 @@ def classify(
 
     return EqualityReport(n, k, count, bound, True, case, evidence)
 
-
-def classify_shell_generated(
-    L: GramLattice,
-    k: int,
-    threads: int = 1,
-    shell: Optional[Shell] = None,
-) -> SpanClassification:
-    """Classify the sublattice M generated by the norm-k shell inside its own
-    span.  S_k(M) = S_k(L), so the shell saturates the rank-r bound iff M is
-    an equality case, and then M is a scaled line, the cubic lattice, or the
-    rank-8 root lattice."""
-    S = shell if shell is not None else enumerate_shell(L, k)
-    if len(S.vectors) == 0:
-        raise ValueError("classification needs a nonempty shell")
-    span = span_of(S.vectors, L)
-    M = GramLattice(span.gram, name="shell-span")
-    sub = classify(M, k, threads=threads)
-    return SpanClassification(
-        rank=span.rank,
-        saturates_in_span=sub.equality,
-        case=sub.case,
-        report=sub,
-    )

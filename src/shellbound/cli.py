@@ -9,13 +9,13 @@ number ever appears in a payload.  Documents are byte-stable for fixed inputs
 within a version (progress and timing go to standard error only).
 
 Exit codes: 0 success, 1 verification failure (including a failed internal
-certificate), 2 input error, 3 mathematical precondition violation.
+certificate), 2 input error, 3 mathematical precondition violation or a
+size limit (including running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -75,15 +75,10 @@ def _jsonable(obj):
         return _rat(obj)
     if isinstance(obj, dict):
         return {(_rat(k) if isinstance(k, Fraction) else k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (frozenset, set)):
-        return [_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, float):
-        raise TypeError("floating-point values are not allowed in report payloads")
-    return str(obj)
+    # floats, numpy scalars and anything else have no exact payload form
+    raise TypeError(f"{type(obj).__name__} values are not allowed in report payloads")
 
 
 def _emit(command: str, inputs: Dict, result) -> None:
@@ -107,10 +102,13 @@ def _load_lattice(source: str) -> GramLattice:
     return builtin(source)
 
 
-def _maybe_dump(L: GramLattice, path: Optional[str]) -> None:
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+def _lattice_arg(args) -> GramLattice:
+    """The --lattice of a request, also written to --dump when given."""
+    L = _load_lattice(args.lattice)
+    if args.dump is not None:
+        with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(lattice_to_document(L))
+    return L
 
 
 def _positive_int(text: str) -> int:
@@ -124,8 +122,7 @@ def _positive_int(text: str) -> int:
 # plain subcommands
 
 def _cmd_shell(args) -> int:
-    L = _load_lattice(args.lattice)
-    _maybe_dump(L, args.dump)
+    L = _lattice_arg(args)
     S = enumerate_shell(L, args.k)
     result = {"count": len(S.vectors), "dim": L.n}
     if args.vectors:
@@ -144,24 +141,20 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    L = _load_lattice(args.lattice)
-    _maybe_dump(L, args.dump)
-    S = enumerate_shell(L, args.k)
+    S = enumerate_shell(_lattice_arg(args), args.k)
     dist = pair_distribution(S, threads=args.threads)
     sp = spectrum(S, distribution=dist)
     result = {
         "count": len(S.vectors),
-        "values": [_rat(v) for v in sp.values],
-        "pair_counts": {_rat(v): dist.counts[v] for v in sp.values},
+        "values": sp.values,
+        "pair_counts": dist.counts,
     }
     _emit("spectrum", {"lattice": args.lattice, "k": args.k}, result)
     return 0
 
 
 def _cmd_design(args) -> int:
-    L = _load_lattice(args.lattice)
-    _maybe_dump(L, args.dump)
-    S = enumerate_shell(L, args.k)
+    S = enumerate_shell(_lattice_arg(args), args.k)
     dist = pair_distribution(S, threads=args.threads)
     report = design_strength(S, t_max=args.tmax, distribution=dist)
     result = {
@@ -178,10 +171,7 @@ def _cmd_design(args) -> int:
 def _cmd_filter(args) -> int:
     if args.n is not None:
         report = root_filter(args.n, args.k)
-        result = {
-            "passes": report.passes,
-            "evaluations": {_rat(p): _rat(v) for p, v in sorted(report.evaluations.items())},
-        }
+        result = {"passes": report.passes, "evaluations": report.evaluations}
         inputs = {"k": args.k, "n": args.n}
     else:
         result = {"dimensions": filter_search(args.k, args.nmax)}
@@ -191,9 +181,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    L = _load_lattice(args.lattice)
-    _maybe_dump(L, args.dump)
-    report = classify(L, args.k, threads=args.threads)
+    report = classify(_lattice_arg(args), args.k, threads=args.threads)
     result = {
         "dim": report.n,
         "k": report.k,
@@ -358,9 +346,8 @@ def _c07_rank1(ctx: VerifyContext) -> Dict:
     import math
 
     for a2 in (1, 2, 4, 9):
-        L = ctx.lattice(f"scaledz:{a2}")
         for k in range(1, 41):
-            report = classify(L, k, threads=ctx.threads)
+            report = ctx.classify(f"scaledz:{a2}", k)
             m = math.isqrt(k // a2)
             expected = a2 * m * m == k
             _require(
@@ -704,6 +691,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (InvalidGramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a result too large for this host exits like one too large to enumerate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)

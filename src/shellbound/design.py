@@ -25,9 +25,7 @@ from .exactpoly import (
 )
 from .lattice import (
     CertificationError,
-    GramLattice,
     Shell,
-    enumerate_shell,
     product_dtype,
     worker_count,
 )
@@ -225,19 +223,10 @@ def annihilator(sp: Spectrum) -> Poly:
     return p
 
 
-def annihilator_identity_holds(
-    L: GramLattice,
-    k: int,
-    shell: Optional[Shell] = None,
-    spectrum_values: Optional[Spectrum] = None,
-) -> bool:
+def annihilator_identity_holds(n: int, sp: Spectrum) -> bool:
     """Exact polynomial identity test: the shell bound times the annihilator
-    of the shell's spectrum equals (1+u) times the odd cumulative Gegenbauer
-    sum of degree 2k-1."""
-    S = shell if shell is not None else enumerate_shell(L, k)
-    if len(S.vectors) == 0:
-        raise ValueError("annihilator identity needs a nonempty shell")
-    sp = spectrum_values if spectrum_values is not None else spectrum(S)
-    lhs = shell_bound(L.n, k) * annihilator(sp)
-    rhs = Poly((1, 1)) * cumulative_gegenbauer(L.n, 2 * k - 1)
+    of a rank-n norm-k shell's spectrum sp equals (1+u) times the odd
+    cumulative Gegenbauer sum of degree 2k-1."""
+    lhs = shell_bound(n, sp.k) * annihilator(sp)
+    rhs = Poly((1, 1)) * cumulative_gegenbauer(n, 2 * sp.k - 1)
     return lhs == rhs

@@ -11,9 +11,7 @@ from shellbound.classify import (
     NONE,
     RANK1,
     ZN,
-    check_equality,
     classify,
-    classify_shell_generated,
     orthonormal_system,
     recognize_e8,
     reflection_closure,
@@ -28,10 +26,15 @@ def e8_shell():
 
 class TestCheckEquality:
     def test_triples(self, e8_shell):
-        assert check_equality(builtin("e8"), 2, shell=e8_shell) == (240, 240, True)
-        assert check_equality(builtin("dn:4"), 2) == (24, 40, False)
-        assert check_equality(builtin("zn:2"), 1) == (4, 4, True)
-        assert check_equality(builtin("zn:2"), 3) == (0, 12, False)
+        # classify's exact (count, bound, equality) triple
+        for L, k, shell, triple in [
+            (builtin("e8"), 2, e8_shell, (240, 240, True)),
+            (builtin("dn:4"), 2, None, (24, 40, False)),
+            (builtin("zn:2"), 1, None, (4, 4, True)),
+            (builtin("zn:2"), 3, None, (0, 12, False)),
+        ]:
+            report = classify(L, k, shell=shell)
+            assert (report.count, report.bound, report.equality) == triple
 
 
 class TestOrthonormalSystem:
@@ -175,41 +178,6 @@ class TestClassify:
             for k in (3, 4, 5):
                 report = classify(builtin(name), k)
                 assert not (report.equality and report.n >= 2 and k >= 3)
-
-
-class TestClassifyShellGenerated:
-    def test_embedded_cubic_block(self):
-        L = GramLattice([[1, 0, 0, 0, 0],
-                         [0, 1, 0, 0, 0],
-                         [0, 0, 1, 0, 0],
-                         [0, 0, 0, 4, 0],
-                         [0, 0, 0, 0, 4]])
-        report = classify_shell_generated(L, 1)
-        assert report.rank == 3
-        assert report.saturates_in_span
-        assert report.case == ZN
-
-    def test_scaled_line(self):
-        report = classify_shell_generated(builtin("scaledz:9"), 9)
-        assert report.rank == 1
-        assert report.saturates_in_span
-        assert report.case == RANK1
-
-    def test_e8_full_rank(self, e8_shell):
-        report = classify_shell_generated(builtin("e8"), 2, shell=e8_shell)
-        assert report.rank == 8
-        assert report.saturates_in_span
-        assert report.case == E8
-
-    def test_non_saturating_span(self):
-        report = classify_shell_generated(builtin("dn:4"), 2)
-        assert report.rank == 4
-        assert not report.saturates_in_span
-        assert report.case == NONE
-
-    def test_empty_shell_rejected(self):
-        with pytest.raises(ValueError):
-            classify_shell_generated(builtin("zn:2"), 3)
 
 
 _INVARIANCE_LATTICES = (

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,29 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: ") and "norm check" in err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 2.00 GiB", ""])
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys, message):
+        # an allocation that fails is reported in one line, not a traceback
+        def exhausted(L, k):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "enumerate_shell", exhausted)
+        assert cli.main(["shell", "--lattice", "leech", "--k", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
+
+class TestJsonable:
+    def test_nested_fractions_serialize(self):
+        payload = {Fraction(1, 2): [Fraction(-3, 4), (1, "a", None, True)], "x": {Fraction(0): Fraction(5)}}
+        assert cli._jsonable(payload) == {"1/2": ["-3/4", [1, "a", None, True]], "x": {"0/1": "5/1"}}
+
+    @pytest.mark.parametrize("value", [np.int64(5), {1, 2}, 0.5, [1, {"a": 2.0}]])
+    def test_values_without_an_exact_form_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._jsonable(value)
+
 
 class TestHugeNorm:
     def test_spectrum_in_the_int64_regime(self, tmp_path):
@@ -326,6 +350,25 @@ class TestVerifyPaper:
         capsys.readouterr()
         assert searches == Counter(set(cli._C08_BUILTINS) | set(cli._C11_BUILTINS))
         assert scans == Counter(cli._C11_BUILTINS)
+
+    def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
+        # C07 classifies the scaled lines through the context's cache, so C08
+        # finds their norms 1..6 there instead of searching them again
+        mod = importlib.import_module("shellbound.lattice")
+        original = mod.enumerate_shells
+        searched = Counter()
+
+        def counting(L, kmax, kmin=1):
+            searched.update((L.name, k) for k in range(kmin, kmax + 1))
+            return original(L, kmax, kmin)
+
+        monkeypatch.setattr(mod, "enumerate_shells", counting)
+        monkeypatch.setattr(cli, "enumerate_shells", counting)
+        assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
+        capsys.readouterr()
+        scaled = {(f"scaledz:{q}", k) for q in (1, 2, 4, 9) for k in range(1, 41)}
+        assert set(searched) == scaled | {(name, k) for name in cli._C08_BUILTINS for k in range(1, 7)}
+        assert max(searched.values()) == 1
 
 
 def test_c11_tally_matches_scalar_inner():

@@ -245,16 +245,11 @@ class TestAnnihilator:
             annihilator(Spectrum(k=2, values=(Fraction(0), Fraction(1))))
 
     def test_identity_cubic(self):
-        L = builtin("zn:3")
-        assert annihilator_identity_holds(L, 1)
+        assert annihilator_identity_holds(3, spectrum(enumerate_shell(builtin("zn:3"), 1)))
 
     def test_identity_e8(self, e8_shell):
-        assert annihilator_identity_holds(builtin("e8"), 2, shell=e8_shell)
+        assert annihilator_identity_holds(8, spectrum(e8_shell))
 
     def test_identity_fails_off_equality(self):
         # hand check: left side has leading coefficient 80/3, right side 32
-        assert not annihilator_identity_holds(builtin("dn:4"), 2)
-
-    def test_identity_rejects_empty_shell(self):
-        with pytest.raises(ValueError):
-            annihilator_identity_holds(builtin("zn:2"), 3)
+        assert not annihilator_identity_holds(4, spectrum(enumerate_shell(builtin("dn:4"), 2)))
