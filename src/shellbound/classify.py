@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from .filter import (
 )
 from .lattice import (
     CertificationError,
-    GramLattice,
     Shell,
-    enumerate_shell,
     gram_det,
     gram_products,
     is_even,
@@ -141,19 +139,14 @@ def _exclusion_evidence(n: int, k: int) -> Dict:
     }
 
 
-def classify(
-    L: GramLattice,
-    k: int,
-    threads: int = 1,
-    shell: Optional[Shell] = None,
-) -> EqualityReport:
-    """Full equality classification of the norm-k shell of L.
+def classify(S: Shell, threads: int = 1) -> EqualityReport:
+    """Full equality classification of S, the norm-k shell of a lattice.
 
     Equality cases carry certification evidence: the complete inner-product
     spectrum, strength and tightness, the annihilator identity, and the
     recognition route.  Non-equality reports name the exclusion mechanism.
     """
-    S = shell if shell is not None else enumerate_shell(L, k)
+    L, k = S.lattice, S.k
     n = L.n
     count, bound = len(S.vectors), shell_bound(n, k)
     equality = count == bound
@@ -176,9 +169,9 @@ def classify(
         return EqualityReport(n, k, count, bound, False, NONE, _exclusion_evidence(n, k))
 
     dist = pair_distribution(S, threads=threads)
-    sp = spectrum(S, distribution=dist)
+    sp = spectrum(dist)
     full_values = {Fraction(j, k) for j in range(-(k - 1), k)} | {Fraction(-1)}
-    report = design_strength(S, t_max=4 * k + 3, distribution=dist)
+    report = design_strength(dist)
     evidence = {
         "spectrum": sp.values,
         "spectrum_complete": set(sp.values) == full_values,

@@ -88,7 +88,15 @@ def _emit(command: str, inputs: Dict, result) -> None:
         "result": _jsonable(result),
         "version": __version__,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # exact answers may pass the int-to-str digit limit: lift it for this dump only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +151,7 @@ def _cmd_bound(args) -> int:
 def _cmd_spectrum(args) -> int:
     S = enumerate_shell(_lattice_arg(args), args.k)
     dist = pair_distribution(S, threads=args.threads)
-    sp = spectrum(S, distribution=dist)
+    sp = spectrum(dist)
     result = {
         "count": len(S.vectors),
         "values": sp.values,
@@ -155,8 +163,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_design(args) -> int:
     S = enumerate_shell(_lattice_arg(args), args.k)
-    dist = pair_distribution(S, threads=args.threads)
-    report = design_strength(S, t_max=args.tmax, distribution=dist)
+    report = design_strength(pair_distribution(S, threads=args.threads), t_max=args.tmax)
     result = {
         "strength": report.strength,
         "tight": report.tight,
@@ -181,7 +188,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify(_lattice_arg(args), args.k, threads=args.threads)
+    report = classify(enumerate_shell(_lattice_arg(args), args.k), threads=args.threads)
     result = {
         "dim": report.n,
         "k": report.k,
@@ -250,8 +257,7 @@ class VerifyContext:
         criterion gets an equality certificate from."""
         key = (name, k)
         if key not in self._reports:
-            S = self.shell(name, k)
-            self._reports[key] = classify(S.lattice, k, threads=self.threads, shell=S)
+            self._reports[key] = classify(self.shell(name, k), threads=self.threads)
         return self._reports[key]
 
 
@@ -346,6 +352,7 @@ def _c07_rank1(ctx: VerifyContext) -> Dict:
     import math
 
     for a2 in (1, 2, 4, 9):
+        ctx.shells(f"scaledz:{a2}", 40)  # one search per scale fills the cache
         for k in range(1, 41):
             report = ctx.classify(f"scaledz:{a2}", k)
             m = math.isqrt(k // a2)
@@ -406,13 +413,13 @@ def _c10_leech(ctx: VerifyContext) -> Dict:
     _require(count < shell_bound(24, 4), "count does not sit below the bound")
     ctx.log("  [C10] pair distribution over 196560 vectors ...")
     dist = pair_distribution(S, threads=ctx.threads)
-    sp = spectrum(S, distribution=dist)
+    sp = spectrum(dist)
     expected = {
         Fraction(-1), Fraction(-1, 2), Fraction(-1, 4),
         Fraction(0), Fraction(1, 4), Fraction(1, 2),
     }
     _require(set(sp.values) == expected, f"spectrum {sp.values} unexpected")
-    report = design_strength(S, distribution=dist)
+    report = design_strength(dist)
     _require(report.strength == 11, f"strength {report.strength} != 11")
     _require(report.tight, "design not tight")
     _require(fisher_bound(24, 11) == 196560, "fisher bound mismatch")
@@ -474,7 +481,7 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
                 tally = _inner_tally(fast)
                 for i in range(1, 7):
                     _require(
-                        moment_sum(L.n, i, dist) == _moment_direct(tally, L.n, k, i),
+                        moment_sum(dist, i) == _moment_direct(tally, L.n, k, i),
                         f"{name} k={k} i={i}: moment mismatch",
                     )
                     moment_checks += 1

@@ -54,9 +54,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PairDistribution:
-    """Counts of ordered distinct pairs per normalized inner product."""
+    """Counts of ordered distinct pairs per normalized inner product, over
+    the norm-k shell of a rank-n lattice."""
 
     k: int
+    n: int
     size: int
     counts: Dict[Fraction, int]
 
@@ -136,70 +138,59 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
         counts[Fraction(p, k)] = 2 * (raw.get(p, 0) + raw.get(-p, 0))
     if sum(counts.values()) != N * (N - 1):
         raise CertificationError(f"pair counts do not sum to {N}*{N - 1}")
-    return PairDistribution(k=k, size=N, counts=counts)
+    return PairDistribution(k=k, n=S.lattice.n, size=N, counts=counts)
 
 
-def spectrum(S: Shell, distribution: Optional[PairDistribution] = None) -> Spectrum:
+def spectrum(dist: PairDistribution) -> Spectrum:
     """Set of normalized inner products <y,z>/k over distinct shell vectors."""
-    if len(S.vectors) == 0:
-        raise ValueError("spectrum needs a nonempty shell")
-    dist = distribution if distribution is not None else pair_distribution(S)
     values = tuple(sorted(dist.counts))
     for a in values:
-        if not (Fraction(-1) <= a < 1 and (a * S.k).denominator == 1):
+        if not (Fraction(-1) <= a < 1 and (a * dist.k).denominator == 1):
             raise CertificationError(f"inner product {a} is neither -1 nor j/k with |j| < k")
-    return Spectrum(k=S.k, values=values)
+    return Spectrum(k=dist.k, values=values)
 
 
-def moment_sum(n: int, i: int, D: PairDistribution) -> Fraction:
+def moment_sum(dist: PairDistribution, i: int) -> Fraction:
     """Gegenbauer kernel sum over all ordered shell pairs, diagonal included.
 
     Always non-negative; zero exactly when the degree-i harmonic moments of
     the normalized shell vanish.
     """
-    if n < 2:
-        raise ValueError("moment_sum requires dimension n >= 2")
+    if dist.n < 2:
+        raise ValueError("design strength is defined on the sphere, need n >= 2")
     if i < 1:
         raise ValueError("degree must be >= 1")
-    Q = gegenbauer(n, i)
-    total = D.size * Q(1)
-    for alpha, c in D.counts.items():
+    Q = gegenbauer(dist.n, i)
+    total = dist.size * Q(1)
+    for alpha, c in dist.counts.items():
         total += c * Q(alpha)
     return total
 
 
-def design_strength(
-    S: Shell,
-    t_max: Optional[int] = None,
-    distribution: Optional[PairDistribution] = None,
-) -> DesignReport:
-    """Largest t <= t_max with vanishing harmonic moments up to degree t.
+def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> DesignReport:
+    """Largest t <= t_max (default 4k+3) with vanishing harmonic moments up to
+    degree t.
 
     capped means every degree up to t_max passed, so the true strength is
     reported as at least t_max rather than exactly.
     """
-    n = S.lattice.n
-    if n < 2:
-        raise ValueError("design strength is defined on the sphere, need n >= 2")
     if t_max is None:
-        t_max = 4 * S.k + 3
+        t_max = 4 * dist.k + 3
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    D = distribution if distribution is not None else pair_distribution(S)
     strength = 0
     for i in range(1, t_max + 1):
-        if moment_sum(n, i, D) == 0:
+        if moment_sum(dist, i) == 0:
             strength = i
         else:
             break
-    capped = strength == t_max
-    fisher = fisher_bound(n, strength)
+    fisher = fisher_bound(dist.n, strength)
     return DesignReport(
         strength=strength,
-        tight=(D.size == fisher),
+        tight=(dist.size == fisher),
         fisher=fisher,
-        size=D.size,
-        capped=capped,
+        size=dist.size,
+        capped=strength == t_max,
     )
 
 

@@ -113,10 +113,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def reflected(self) -> "Poly":
-        """The polynomial p(-u)."""
-        return Poly([-x if i % 2 else x for i, x in enumerate(self.num)], self.den)
-
     def __repr__(self):
         if not self.num:
             return "Poly(0)"

@@ -128,8 +128,8 @@ class GramLattice:
 @dataclass(frozen=True, eq=False)
 class Shell:
     """All lattice vectors of squared norm k: the rows of a read-only int64
-    array (object when a coordinate may exceed int64), sorted lexicographically,
-    so row count-1-i is the negation of row i."""
+    array (Python ints, object, when a coordinate exceeds int64), sorted
+    lexicographically, so row count-1-i is the negation of row i."""
 
     k: int
     vectors: np.ndarray
@@ -379,8 +379,9 @@ def _children(coords, zflag, lo, hi, col):
 
 
 def _search(gram, kmin: int, k: int, a=None):
-    """(rows, norms): one int64 row per +-pair of the integer vectors y with
-    kmin <= y^T G y <= k, and their norms; a is gram's elimination, if known."""
+    """(rows, norms): one row per +-pair of the integer vectors y with
+    kmin <= y^T G y <= k, and their norms, in the search's dtype; a is gram's
+    elimination, if known."""
     a = a or _elimination(gram)
     n = len(a)
     D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
@@ -391,7 +392,7 @@ def _search(gram, kmin: int, k: int, a=None):
     dtype = _int_dtype(max(bmax, max(k * D[t] * D[t + 1] for t in range(n))))
     A = np.array([[a[t][j] if j > t else 0 for j in range(n)] for t in range(n)], dtype=dtype)
 
-    out, norms = [np.empty((0, n), dtype=np.int64)], [np.empty(0, dtype=dtype)]  # when nothing is found
+    out, norms = [np.empty((0, n), dtype=dtype)], [np.empty(0, dtype=dtype)]  # when nothing is found
     stack = [(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)]
     while stack:
         y, P, z, t = stack.pop()
@@ -410,7 +411,7 @@ def _search(gram, kmin: int, k: int, a=None):
             keep = np.concatenate([hit, hit & (r > 0) & ~z]) & (num % D[1] == 0)
             done = np.concatenate([y, y])[keep]
             done[:, 0] = num[keep] // D[1]
-            out.append(done.astype(np.int64))
+            out.append(done)
             norms.append(np.full(len(done), k, dtype=dtype))
             continue
         ch = _children(y, z, -((r + b) // D[t + 1]), (r - b) // D[t + 1], t)
@@ -421,7 +422,7 @@ def _search(gram, kmin: int, k: int, a=None):
         newP = (D[t] * P[idx] + c * c) // D[t + 1]
         if t == 0:
             keep = newP >= kmin
-            out.append(newy[keep].astype(np.int64))
+            out.append(newy[keep])
             norms.append(newP[keep])
             continue
         stack.append((newy, newP, z[idx] & (vals == 0), t - 1))
@@ -471,23 +472,17 @@ def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
         raise ValueError("k must be a positive integer")
     n = L.n
-    if n == 1:
-        q = L.gram[0][0]
-        r = range(math.isqrt((kmin - 1) // q) + 1, math.isqrt(kmax // q) + 1)
-        # numpy would pick float64 for [-2**63, 2**63]; object keeps r exact
-        reps = np.array(r, dtype=np.int64 if not r or r[-1] < 2**63 else object).reshape(-1, 1)
-        norms = np.array([q * x * x for x in r] * 2, dtype=object)
-        return _bucket(L, kmin, kmax, np.concatenate([reps, -reps]), norms)
-
     G, U = _pair_reduce(L.gram)
     identity = U == _identity(n)
     reps, norms = _search(G, kmin, kmax, L.elimination if identity else None)
     if not identity:
-        # x = U y, in a dtype that holds every partial sum of |U_ij y_j|
-        dtype = _int_dtype(max(sum(map(abs, row)) for row in U) * int(np.abs(reps).max(initial=1)))
-        reps = reps.astype(dtype) @ np.array(U, dtype=dtype).T
+        # x = U y by the one exact product: x_j = y^T (U^T) e_j
+        reps = gram_products(reps, [list(col) for col in zip(*U)], np.eye(n, dtype=np.int64))
     if not (gram_products(reps, L.gram) == norms).all():
         raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+    if reps.dtype == object and np.abs(reps).max(initial=0) < 2**63:
+        # the shell's one dtype rule: int64 while every coordinate fits
+        reps = reps.astype(np.int64)
     return _bucket(L, kmin, kmax, np.concatenate([reps, -reps]), np.concatenate([norms, norms]))
 
 

@@ -27,13 +27,13 @@ def e8_shell():
 class TestCheckEquality:
     def test_triples(self, e8_shell):
         # classify's exact (count, bound, equality) triple
-        for L, k, shell, triple in [
-            (builtin("e8"), 2, e8_shell, (240, 240, True)),
-            (builtin("dn:4"), 2, None, (24, 40, False)),
-            (builtin("zn:2"), 1, None, (4, 4, True)),
-            (builtin("zn:2"), 3, None, (0, 12, False)),
+        for shell, triple in [
+            (e8_shell, (240, 240, True)),
+            (enumerate_shell(builtin("dn:4"), 2), (24, 40, False)),
+            (enumerate_shell(builtin("zn:2"), 1), (4, 4, True)),
+            (enumerate_shell(builtin("zn:2"), 3), (0, 12, False)),
         ]:
-            report = classify(L, k, shell=shell)
+            report = classify(shell)
             assert (report.count, report.bound, report.equality) == triple
 
 
@@ -96,11 +96,11 @@ class TestClassify:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
-        assert classify(builtin("e8"), 2, shell=e8_shell).case == E8
+        assert classify(e8_shell).case == E8
         assert sorted(calls) == ["reflection_closure", "span_of"]
 
     def test_e8(self, e8_shell):
-        report = classify(builtin("e8"), 2, shell=e8_shell)
+        report = classify(e8_shell)
         assert report.equality and report.case == E8
         assert report.count == report.bound == 240
         ev = report.evidence
@@ -109,44 +109,44 @@ class TestClassify:
         assert ev["span_rank"] == 8 and ev["span_det"] == 1 and ev["span_even"]
 
     def test_cubic(self):
-        report = classify(builtin("zn:6"), 1)
+        report = classify(enumerate_shell(builtin("zn:6"), 1))
         assert report.equality and report.case == ZN
         assert report.count == 12
         assert report.evidence["recognition"] == "orthonormal-system"
         assert report.evidence["orthonormal_count"] == 6
 
     def test_rank_one_square_multiple(self):
-        report = classify(builtin("scaledz:1"), 4)
+        report = classify(enumerate_shell(builtin("scaledz:1"), 4))
         assert report.equality and report.case == RANK1
         assert report.evidence == {"scale": 1, "m": 2}
 
     def test_rank_one_miss(self):
-        report = classify(builtin("scaledz:4"), 2)
+        report = classify(enumerate_shell(builtin("scaledz:4"), 2))
         assert not report.equality and report.case == NONE
         assert report.count == 0
 
     def test_count_exclusion(self):
-        report = classify(builtin("dn:4"), 2)
+        report = classify(enumerate_shell(builtin("dn:4"), 2))
         assert report.case == NONE
         assert (report.count, report.bound) == (24, 40)
         assert report.evidence["exclusion"] == "count"
 
     def test_circle_exclusion(self):
-        report = classify(builtin("zn:2"), 3)
+        report = classify(enumerate_shell(builtin("zn:2"), 3))
         assert report.case == NONE
         assert (report.count, report.bound) == (0, 12)
         assert report.evidence["exclusion"] == "circle"
         assert report.evidence["circle_excluded"] is True
 
     def test_norm_three_exclusion(self):
-        report = classify(builtin("zn:3"), 3)
+        report = classify(enumerate_shell(builtin("zn:3"), 3))
         assert report.case == NONE
         assert report.evidence["exclusion"] == "norm3-filter"
         assert report.evidence["n_from_sum"] == 10
         assert report.evidence["consistent"] is False
 
     def test_strength_table_exclusion(self):
-        report = classify(builtin("dn:4"), 5)
+        report = classify(enumerate_shell(builtin("dn:4"), 5))
         assert report.case == NONE
         assert report.evidence["exclusion"] == "strength-table"
         assert report.evidence["required_strength"] == 19
@@ -154,7 +154,7 @@ class TestClassify:
 
     def test_case_label_matches_equality(self):
         for name, k in (("zn:4", 1), ("e8", 2), ("scaledz:9", 9), ("an:3", 2), ("zn:2", 4)):
-            report = classify(builtin(name), k)
+            report = classify(enumerate_shell(builtin(name), k))
             assert (report.case == NONE) == (not report.equality)
 
     @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:3", "an:2", "dn:4", "e8", "scaledz:2"])
@@ -162,7 +162,7 @@ class TestClassify:
     def test_catalog_soundness(self, name, k):
         # equality on the catalog happens only for the three known families
         L = builtin(name)
-        report = classify(L, k)
+        report = classify(enumerate_shell(L, k))
         if name == "zn:1":
             expected = math.isqrt(k) ** 2 == k
         else:
@@ -176,7 +176,7 @@ class TestClassify:
     def test_no_equality_above_norm_two_in_rank_two_plus(self):
         for name in ("zn:4", "an:3", "dn:4", "e8"):
             for k in (3, 4, 5):
-                report = classify(builtin(name), k)
+                report = classify(enumerate_shell(builtin(name), k))
                 assert not (report.equality and report.n >= 2 and k >= 3)
 
 
@@ -210,6 +210,6 @@ class TestBasisInvariance:
     @given(_rebased())
     def test_count_and_case_do_not_depend_on_the_basis(self, case):
         name, k, L = case
-        expected = classify(builtin(name), k)
-        report = classify(L, k)
+        expected = classify(enumerate_shell(builtin(name), k))
+        report = classify(enumerate_shell(L, k))
         assert (report.count, report.case) == (expected.count, expected.case)

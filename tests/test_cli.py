@@ -1,10 +1,12 @@
 import concurrent.futures
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +63,16 @@ class TestBoundCommand:
     def test_rank_24(self):
         doc = parse_report(run_cli("bound", "--n", "24", "--k", "4", check=True).stdout)
         assert doc["result"]["bound"] == 4071600
+
+    def test_answer_past_the_int_str_digit_limit(self, capsys):
+        # 4974 digits, past the interpreter's default limit of 4300; only the
+        # dump lifts the limit, so it holds again after the request
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert cli.main(["bound", "--n", "6000", "--k", "6000"]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        # Decimal parses and compares the digits without the int limit
+        doc = json.loads(capsys.readouterr().out, parse_int=Decimal)
+        assert doc["result"]["bound"] == 2 * math.comb(17998, 11999)
 
 
 class TestSpectrumCommand:
@@ -222,6 +234,18 @@ class TestHugeNorm:
         result = run_cli("spectrum", "--lattice", "scaledz:1", "--k", str(10**40))
         assert result.returncode == 0, result.stderr
         assert parse_report(result.stdout)["result"]["pair_counts"] == {"-1/1": 2}
+
+    def test_root_solved_coordinate_past_int64(self, tmp_path):
+        # +-2**64 e_1: only the top level is walked, the root solve gives y_0
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 4**70]]}))
+        k = str(2**128)
+        result = run_cli("shell", "--lattice", f"@{path}", "--k", k, "--vectors")
+        assert result.returncode == 0, result.stderr
+        assert parse_report(result.stdout)["result"]["vectors"] == [[-(2**64), 0], [2**64, 0]]
+        result = run_cli("classify", "--lattice", f"@{path}", "--k", k)
+        assert result.returncode == 0, result.stderr
+        assert parse_report(result.stdout)["result"]["count"] == 2
 
     def test_coordinates_past_float64_integers_exit_3(self):
         # the true count is 4 (+-2**63 e_i); it must not be reported as 0

@@ -36,7 +36,7 @@ class TestPairDistribution:
         S = enumerate_shell(builtin("zn:2"), 1)
         dist = pair_distribution(S)
         assert dist.counts == {Fraction(-1): 4, Fraction(0): 8}
-        assert dist.size == 4
+        assert (dist.k, dist.n, dist.size) == (1, 2, 4)
 
     def test_e8_known_shell_structure(self, e8_shell):
         dist = pair_distribution(e8_shell)
@@ -100,8 +100,6 @@ class TestPairDistribution:
         S = Shell(1, np.array([[0, 1], [1, 0]]), builtin("zn:2"))
         with pytest.raises(ValueError):
             pair_distribution(S)
-        with pytest.raises(ValueError):
-            design_strength(S)
 
     def test_matches_naive_count(self):
         S = enumerate_shell(builtin("an:3"), 2)
@@ -120,14 +118,14 @@ class TestPairDistribution:
 class TestSpectrum:
     def test_cubic(self):
         S = enumerate_shell(builtin("zn:4"), 1)
-        assert spectrum(S).values == (Fraction(-1), Fraction(0))
+        assert spectrum(pair_distribution(S)).values == (Fraction(-1), Fraction(0))
 
     def test_e8(self, e8_shell):
-        assert spectrum(e8_shell).values == (Fraction(-1), -HALF, Fraction(0), HALF)
+        assert spectrum(pair_distribution(e8_shell)).values == (Fraction(-1), -HALF, Fraction(0), HALF)
 
     def test_values_sorted(self):
         S = enumerate_shell(builtin("dn:4"), 2)
-        vals = spectrum(S).values
+        vals = spectrum(pair_distribution(S)).values
         assert vals == tuple(sorted(vals))
 
 
@@ -135,20 +133,20 @@ class TestMomentSum:
     def test_never_negative(self, e8_shell):
         dist = pair_distribution(e8_shell)
         for i in range(1, 13):
-            assert moment_sum(8, i, dist) >= 0
+            assert moment_sum(dist, i) >= 0
 
     def test_e8_vanishing_pattern(self, e8_shell):
         # harmonic moments vanish through degree 7 and not at degree 8
         dist = pair_distribution(e8_shell)
         for i in range(1, 8):
-            assert moment_sum(8, i, dist) == 0
-        assert moment_sum(8, 8, dist) > 0
+            assert moment_sum(dist, i) == 0
+        assert moment_sum(dist, 8) > 0
 
     def test_odd_degrees_vanish_by_antipodality(self):
         S = enumerate_shell(builtin("dn:4"), 2)
         dist = pair_distribution(S)
         for i in (1, 3, 5, 7, 9):
-            assert moment_sum(4, i, dist) == 0
+            assert moment_sum(dist, i) == 0
 
     def test_matches_direct_double_sum(self):
         S = enumerate_shell(builtin("zn:3"), 2)
@@ -159,20 +157,20 @@ class TestMomentSum:
             direct = sum(
                 q(Fraction(inner(L, y, z), S.k)) for y in S.vectors for z in S.vectors
             )
-            assert moment_sum(3, i, dist) == direct
+            assert moment_sum(dist, i) == direct
 
     def test_rejects_bad_arguments(self):
         S = enumerate_shell(builtin("zn:2"), 1)
         dist = pair_distribution(S)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            moment_sum(pair_distribution(enumerate_shell(builtin("scaledz:1"), 1)), 2)
         with pytest.raises(ValueError):
-            moment_sum(1, 2, dist)
-        with pytest.raises(ValueError):
-            moment_sum(2, 0, dist)
+            moment_sum(dist, 0)
 
 
 class TestDesignStrength:
     def test_e8_tight_seven(self, e8_shell):
-        report = design_strength(e8_shell)
+        report = design_strength(pair_distribution(e8_shell))
         assert report.strength == 7
         assert report.tight
         assert not report.capped
@@ -181,39 +179,36 @@ class TestDesignStrength:
 
     def test_square_is_tight_three(self):
         S = enumerate_shell(builtin("zn:2"), 1)
-        report = design_strength(S)
+        report = design_strength(pair_distribution(S))
         assert report.strength == 3
         assert report.tight
 
     def test_hexagon_is_tight_five(self):
         S = enumerate_shell(builtin("an:2"), 2)
-        report = design_strength(S)
+        report = design_strength(pair_distribution(S))
         assert report.strength == 5
         assert report.tight
 
     def test_d4_roots_are_five_design_not_tight(self):
         # frozen against a direct sphere-average moment check
         S = enumerate_shell(builtin("dn:4"), 2)
-        report = design_strength(S)
+        report = design_strength(pair_distribution(S))
         assert report.strength == 5
         assert not report.tight
         assert report.fisher == 20
 
     def test_capped_at_t_max(self):
         S = enumerate_shell(builtin("zn:2"), 1)
-        report = design_strength(S, t_max=1)
+        report = design_strength(pair_distribution(S), t_max=1)
         assert report.strength == 1
         assert report.capped
 
-    def test_precomputed_distribution_matches(self, e8_shell):
-        dist = pair_distribution(e8_shell)
-        assert design_strength(e8_shell, distribution=dist) == design_strength(e8_shell)
 
 
 class TestAntipodalBound:
     def test_e8_chain(self, e8_shell):
         # count <= antipodal bound at s distinct values <= shell bound at s = 2k
-        s = len(spectrum(e8_shell).values)
+        s = len(spectrum(pair_distribution(e8_shell)).values)
         assert s == 4
         assert len(e8_shell.vectors) <= antipodal_bound(8, s) <= shell_bound(8, 2)
         assert antipodal_bound(8, 4) == 240
@@ -223,7 +218,7 @@ class TestAntipodalBound:
         S = enumerate_shell(builtin(name), k)
         if len(S.vectors) == 0:
             return
-        s = len(spectrum(S).values)
+        s = len(spectrum(pair_distribution(S)).values)
         n = S.lattice.n
         assert s <= 2 * k
         assert len(S.vectors) <= antipodal_bound(n, s) <= shell_bound(n, k)
@@ -231,7 +226,7 @@ class TestAntipodalBound:
 
 class TestAnnihilator:
     def test_e8(self, e8_shell):
-        sp = spectrum(e8_shell)
+        sp = spectrum(pair_distribution(e8_shell))
         F = annihilator(sp)
         assert F(1) == 1
         for a in sp.values:
@@ -245,11 +240,13 @@ class TestAnnihilator:
             annihilator(Spectrum(k=2, values=(Fraction(0), Fraction(1))))
 
     def test_identity_cubic(self):
-        assert annihilator_identity_holds(3, spectrum(enumerate_shell(builtin("zn:3"), 1)))
+        S = enumerate_shell(builtin("zn:3"), 1)
+        assert annihilator_identity_holds(3, spectrum(pair_distribution(S)))
 
     def test_identity_e8(self, e8_shell):
-        assert annihilator_identity_holds(8, spectrum(e8_shell))
+        assert annihilator_identity_holds(8, spectrum(pair_distribution(e8_shell)))
 
     def test_identity_fails_off_equality(self):
         # hand check: left side has leading coefficient 80/3, right side 32
-        assert not annihilator_identity_holds(4, spectrum(enumerate_shell(builtin("dn:4"), 2)))
+        S = enumerate_shell(builtin("dn:4"), 2)
+        assert not annihilator_identity_holds(4, spectrum(pair_distribution(S)))

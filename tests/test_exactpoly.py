@@ -56,12 +56,6 @@ class TestPoly:
         assert 3 * p == Poly((3, 3)) == p * 3
         assert -p == Poly((-1, -1))
 
-    def test_reflection(self):
-        p = Poly((1, 2, 3, 4))
-        r = p.reflected()
-        assert r(HALF) == p(-HALF)
-        assert r.reflected() == p
-
     def test_coefficients_become_fractions(self):
         p = Poly((1, 2))
         assert all(isinstance(c, Fraction) for c in p.coeffs)
@@ -144,7 +138,7 @@ _coeff_lists = st.lists(st.one_of(_rationals, st.just(Fraction(0))), max_size=7)
 class TestPolyAgainstFractionReference:
     @settings(max_examples=200, deadline=None)
     @given(_coeff_lists, _coeff_lists, _rationals, _rationals)
-    def test_ring_evaluation_reflection_and_equality(self, a, b, s, u):
+    def test_ring_evaluation_and_equality(self, a, b, s, u):
         P, Q = Poly(a), Poly(b)
         ra, rb = _ref_trim(a), _ref_trim(b)
         assert P.degree == (len(ra) - 1 if ra else None)
@@ -156,7 +150,6 @@ class TestPolyAgainstFractionReference:
             (P * Q, _ref_mul(ra, rb)),
             (P * s, _ref_trim([c * s for c in ra])),
             (s * P, _ref_trim([c * s for c in ra])),
-            (P.reflected(), [c if i % 2 == 0 else -c for i, c in enumerate(ra)]),
         ]
         for R, ref in cases:
             assert all(isinstance(c, Fraction) for c in R.coeffs)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shellbound.cli import _C11_BUILTINS
@@ -192,6 +192,28 @@ class TestEnumerateShell:
         # integers, so the size guard refuses instead of running out of memory
         with pytest.raises(ValueError):
             enumerate_shell(builtin("zn:2"), 2**126)
+
+    @pytest.mark.parametrize("k, dtype", [(2**128, object), (2**100, np.int64)])
+    def test_root_solved_coordinate_of_any_size(self, k, dtype):
+        # the walked level holds only y_1 = 0; y_0 = +-sqrt(k) comes from the
+        # root solve, which the size guard does not limit, and stays exact
+        V = enumerate_shell(GramLattice([[1, 0], [0, 4**70]]), k).vectors
+        m = math.isqrt(k)
+        assert V.tolist() == [[-m, 0], [m, 0]]
+        assert V.dtype == dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 2**70))
+    @example(1, 2**63 - 1)
+    @example(1, 2**63)
+    def test_rank_one_shell_is_plus_minus_m(self, q, m):
+        L = GramLattice([[q]])
+        V = enumerate_shell(L, q * m * m).vectors
+        assert V.tolist() == [[-m], [m]]
+        assert (V.dtype == np.int64) == (m < 2**63)
+        k = q * m * m + 1
+        if k % q or math.isqrt(k // q) ** 2 != k // q:
+            assert len(enumerate_shell(L, k)) == 0
 
     def test_shell_count_helper(self):
         assert shell_count(builtin("zn:8"), 2) == 112
