@@ -18,6 +18,7 @@ from .design import (
     pair_distribution,
     spectrum,
 )
+from .errors import CertificationError
 from .exactpoly import shell_bound
 from .filter import (
     allowed_tight_strengths,
@@ -26,7 +27,6 @@ from .filter import (
     root_filter,
 )
 from .lattice import (
-    CertificationError,
     Shell,
     gram_det,
     gram_products,

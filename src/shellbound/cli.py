@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-import numpy as np
-
+# lattice, design and classify load numpy: imported where used, so bound and filter run without it
 from ._version import __version__
-from .classify import CONSEQUENCES, E8, NONE, RANK1, ZN, CertificationError, classify
-from .design import design_strength, moment_sum, pair_distribution, spectrum
+from .errors import CertificationError, InvalidGramError, LatticeFormatError
 from .exactpoly import (
     binom,
     cumulative_gegenbauer,
@@ -45,17 +44,9 @@ from .filter import (
     norm3_filter_contradiction,
     root_filter,
 )
-from .lattice import (
-    GramLattice,
-    InvalidGramError,
-    LatticeFormatError,
-    brute_force_shells,
-    builtin,
-    enumerate_shell,
-    enumerate_shells,
-    lattice_from_document,
-    lattice_to_document,
-)
+
+if TYPE_CHECKING:
+    from .lattice import GramLattice
 
 __all__ = ["main", "acceptance_criteria", "VerifyContext", "CriterionFailure", "SkipCriterion"]
 
@@ -103,6 +94,8 @@ def _emit(command: str, inputs: Dict, result) -> None:
 # lattice sources
 
 def _load_lattice(source: str) -> GramLattice:
+    from .lattice import builtin, lattice_from_document
+
     if source.startswith("@"):
         path = source[1:]
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,13 +103,16 @@ def _load_lattice(source: str) -> GramLattice:
     return builtin(source)
 
 
-def _lattice_arg(args) -> GramLattice:
-    """The --lattice of a request, also written to --dump when given."""
+def _shell_arg(args):
+    """The norm-k shell of the request's --lattice, which is also written to
+    --dump when given."""
+    from .lattice import enumerate_shell, lattice_to_document
+
     L = _load_lattice(args.lattice)
     if args.dump is not None:
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(lattice_to_document(L))
-    return L
+    return enumerate_shell(L, args.k)
 
 
 def _positive_int(text: str) -> int:
@@ -130,9 +126,8 @@ def _positive_int(text: str) -> int:
 # plain subcommands
 
 def _cmd_shell(args) -> int:
-    L = _lattice_arg(args)
-    S = enumerate_shell(L, args.k)
-    result = {"count": len(S.vectors), "dim": L.n}
+    S = _shell_arg(args)
+    result = {"count": len(S.vectors), "dim": S.lattice.n}
     if args.vectors:
         result["vectors"] = S.vectors.tolist()
     _emit("shell", {"lattice": args.lattice, "k": args.k}, result)
@@ -149,7 +144,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    S = enumerate_shell(_lattice_arg(args), args.k)
+    from .design import pair_distribution, spectrum
+
+    S = _shell_arg(args)
     dist = pair_distribution(S, threads=args.threads)
     sp = spectrum(dist)
     result = {
@@ -162,7 +159,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    S = enumerate_shell(_lattice_arg(args), args.k)
+    from .design import design_strength, pair_distribution
+
+    S = _shell_arg(args)
     report = design_strength(pair_distribution(S, threads=args.threads), t_max=args.tmax)
     result = {
         "strength": report.strength,
@@ -188,7 +187,9 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify(enumerate_shell(_lattice_arg(args), args.k), threads=args.threads)
+    from .classify import classify
+
+    report = classify(_shell_arg(args), threads=args.threads)
     result = {
         "dim": report.n,
         "k": report.k,
@@ -237,9 +238,13 @@ class VerifyContext:
             print(message, file=sys.stderr, flush=True)
 
     def lattice(self, name: str) -> GramLattice:
+        from .lattice import builtin
+
         return self.overrides.get(name) or builtin(name)
 
     def shell(self, name: str, k: int):
+        from .lattice import enumerate_shell
+
         key = (name, k)
         if key not in self._shells:
             self._shells[key] = enumerate_shell(self.lattice(name), k)
@@ -247,6 +252,8 @@ class VerifyContext:
 
     def shells(self, name: str, kmax: int) -> Dict:
         """{k: shell} for 1 <= k <= kmax, from one search unless all are cached."""
+        from .lattice import enumerate_shells
+
         if any((name, k) not in self._shells for k in range(1, kmax + 1)):
             for k, S in enumerate_shells(self.lattice(name), kmax).items():
                 self._shells.setdefault((name, k), S)
@@ -255,6 +262,8 @@ class VerifyContext:
     def classify(self, name: str, k: int):
         """The equality report of the cached norm-k shell: the only place a
         criterion gets an equality certificate from."""
+        from .classify import classify
+
         key = (name, k)
         if key not in self._reports:
             self._reports[key] = classify(self.shell(name, k), threads=self.threads)
@@ -276,6 +285,8 @@ def _c01_bounds(ctx: VerifyContext) -> Dict:
 
 
 def _c02_cubic_family(ctx: VerifyContext) -> Dict:
+    from .classify import ZN
+
     for n in range(2, 25):
         name = f"zn:{n}"
         report = ctx.classify(name, 1)
@@ -288,6 +299,8 @@ def _c02_cubic_family(ctx: VerifyContext) -> Dict:
 
 
 def _c03_e8(ctx: VerifyContext) -> Dict:
+    from .classify import E8
+
     # the count comes first: its reason string is C12's tamper_detected
     count = len(ctx.shell("e8", 2).vectors)
     _require(count == 240, f"norm-2 count {count} != 240")
@@ -349,12 +362,12 @@ def _c06_circle(ctx: VerifyContext) -> Dict:
 
 
 def _c07_rank1(ctx: VerifyContext) -> Dict:
-    import math
+    from .classify import NONE, RANK1, classify
 
+    # no later criterion reads these reports, so none is kept in the context
     for a2 in (1, 2, 4, 9):
-        ctx.shells(f"scaledz:{a2}", 40)  # one search per scale fills the cache
-        for k in range(1, 41):
-            report = ctx.classify(f"scaledz:{a2}", k)
+        for k, S in ctx.shells(f"scaledz:{a2}", 40).items():
+            report = classify(S, threads=ctx.threads)
             m = math.isqrt(k // a2)
             expected = a2 * m * m == k
             _require(
@@ -395,6 +408,8 @@ def _c08_universal_inequality(ctx: VerifyContext) -> Dict:
 
 
 def _c09_equality_consequences(ctx: VerifyContext) -> Dict:
+    from .classify import CONSEQUENCES
+
     for name, k in [(f"zn:{n}", 1) for n in range(2, 11)] + [("e8", 2)]:
         report = ctx.classify(name, k)
         _require(report.equality, f"{name} k={k}: count {report.count} misses the bound {report.bound}")
@@ -404,6 +419,8 @@ def _c09_equality_consequences(ctx: VerifyContext) -> Dict:
 
 
 def _c10_leech(ctx: VerifyContext) -> Dict:
+    from .design import design_strength, pair_distribution, spectrum
+
     if not ctx.include_slow:
         raise SkipCriterion("needs --include-slow")
     ctx.log("  [C10] enumerating the norm-4 shell in rank 24 ...")
@@ -450,7 +467,7 @@ def _inner_tally(S) -> Counter:
     each pair costs one n-term dot product; tests pin T to lattice.inner over
     all N^2 pairs."""
     V = S.vectors
-    if len(V) % 2 or not np.array_equal(V[::-1], -V):
+    if len(V) % 2 or not (V[::-1] == -V).all():
         raise CertificationError("C11 tally needs shell rows antipodal in canonical order")
     R = V[len(V) // 2 :].tolist()
     W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in R]
@@ -466,6 +483,11 @@ def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:
 
 
 def _c11_oracles(ctx: VerifyContext) -> Dict:
+    import numpy as np
+
+    from .design import moment_sum, pair_distribution
+    from .lattice import brute_force_shells
+
     moment_checks = 0
     for name in _C11_BUILTINS:
         L = ctx.lattice(name)
@@ -489,6 +511,8 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
 
 
 def _tampered_e8() -> GramLattice:
+    from .lattice import GramLattice, builtin
+
     rows = [list(row) for row in builtin("e8").gram]
     # drop one Dynkin edge: still positive definite, but the shell shrinks
     rows[0][2] = 0
@@ -497,6 +521,8 @@ def _tampered_e8() -> GramLattice:
 
 
 def _c12_negative_controls(ctx: VerifyContext) -> Dict:
+    from .classify import NONE
+
     d4 = ctx.classify("dn:4", 2)
     _require(d4.case == NONE and not d4.equality, "dn:4 at norm 2 should classify NONE")
     _require(d4.count == 24, f"dn:4 norm-2 count {d4.count} != 24")

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .errors import CertificationError
 from .exactpoly import (
     Poly,
     binom,
@@ -24,7 +25,6 @@ from .exactpoly import (
     shell_bound,
 )
 from .lattice import (
-    CertificationError,
     Shell,
     product_dtype,
     worker_count,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .exactpoly import cumulative_gegenbauer
-from .lattice import CertificationError
+from .errors import CertificationError
 
 __all__ = [
     "FilterReport",

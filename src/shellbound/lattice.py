@@ -14,10 +14,13 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import CertificationError, InvalidGramError, LatticeError, LatticeFormatError
 
 __all__ = [
     "LatticeError",
@@ -44,21 +47,6 @@ __all__ = [
     "lattice_from_document",
     "lattice_to_document",
 ]
-
-class LatticeError(Exception):
-    pass
-
-
-class InvalidGramError(LatticeError):
-    """Gram matrix is not a symmetric positive definite integer matrix."""
-
-
-class LatticeFormatError(LatticeError):
-    """Malformed lattice document or unknown builtin name."""
-
-
-class CertificationError(RuntimeError):
-    """An exact result failed its own certificate: a bug, not bad input."""
 
 
 def _elimination(rows):
@@ -667,6 +655,12 @@ def lattice_from_document(text: str) -> GramLattice:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LatticeFormatError(f"lattice document is not valid JSON: {exc}") from None
+    except ValueError:
+        # int() refuses longer literals; the limit bounds the time a parse takes
+        raise LatticeFormatError(
+            f"lattice document has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit on integer literals"
+        ) from None
     if not isinstance(doc, dict):
         raise LatticeFormatError("lattice document must be a JSON object")
     if "dim" not in doc or "gram" not in doc:

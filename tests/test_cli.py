@@ -164,6 +164,17 @@ class TestErrorExits:
         path.write_text(json.dumps({"dim": 2, "gram": [[1, 2], [2, 1]]}))
         assert run_cli("shell", "--lattice", f"@{path}", "--k", "1").returncode == 3
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json refuses integer literals past the int-to-str limit: an input error
+        path = tmp_path / "long.json"
+        path.write_text('{"dim": 1, "gram": [[1' + "0" * 5000 + "]]}")
+        result = run_cli("shell", "--lattice", f"@{path}", "--k", "1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: lattice document has an integer of more than ")
+        assert f" {sys.get_int_max_str_digits()} digits" in result.stderr
+
     def test_bad_norm(self):
         assert run_cli("shell", "--lattice", "zn:2", "--k", "0").returncode == 2
 
@@ -203,7 +214,7 @@ class TestErrorExits:
         def exhausted(L, k):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "enumerate_shell", exhausted)
+        monkeypatch.setattr(importlib.import_module("shellbound.lattice"), "enumerate_shell", exhausted)
         assert cli.main(["shell", "--lattice", "leech", "--k", "6"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -347,7 +358,7 @@ class TestVerifyPaper:
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "pair_distribution", counting)
+        monkeypatch.setattr(importlib.import_module("shellbound.design"), "pair_distribution", counting)
         monkeypatch.setattr(mod, "pair_distribution", counting)
         assert cli.main(["verify-paper", "--criteria", "C02,C03,C09", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
@@ -368,7 +379,6 @@ class TestVerifyPaper:
 
         search = counting(mod.enumerate_shells, searches)
         monkeypatch.setattr(mod, "enumerate_shells", search)
-        monkeypatch.setattr(cli, "enumerate_shells", search)
         monkeypatch.setattr(mod, "_box_bounds", counting(mod._box_bounds, scans))
         assert cli.main(["verify-paper", "--criteria", "C08,C11", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
@@ -376,8 +386,8 @@ class TestVerifyPaper:
         assert scans == Counter(cli._C11_BUILTINS)
 
     def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
-        # C07 classifies the scaled lines through the context's cache, so C08
-        # finds their norms 1..6 there instead of searching them again
+        # C07 takes the scaled lines from the context's cache, so C08 finds
+        # their norms 1..6 there instead of searching them again
         mod = importlib.import_module("shellbound.lattice")
         original = mod.enumerate_shells
         searched = Counter()
@@ -387,12 +397,18 @@ class TestVerifyPaper:
             return original(L, kmax, kmin)
 
         monkeypatch.setattr(mod, "enumerate_shells", counting)
-        monkeypatch.setattr(cli, "enumerate_shells", counting)
         assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
         scaled = {(f"scaledz:{q}", k) for q in (1, 2, 4, 9) for k in range(1, 41)}
         assert set(searched) == scaled | {(name, k) for name in cli._C08_BUILTINS for k in range(1, 7)}
         assert max(searched.values()) == 1
+
+    def test_rank_one_reports_are_not_kept(self):
+        # no later criterion reads C07's 160 equality reports; its shells stay for C08
+        ctx = cli.VerifyContext(threads=1, verbose=False)
+        cli._c07_rank1(ctx)
+        assert not any(name.startswith("scaledz:") for name, k in ctx._reports)
+        assert len(ctx._shells) == 160
 
 
 def test_c11_tally_matches_scalar_inner():

@@ -1,0 +1,78 @@
+"""Start-up pays for numpy only when a request uses it: `import shellbound`,
+`bound` and `filter` load neither numpy nor the numpy-backed modules, and
+every public name still resolves, on first use, to the object of its home
+module.  Each load check runs in a fresh interpreter."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import shellbound
+
+NUMPY_BACKED = {"numpy", "shellbound.lattice", "shellbound.design", "shellbound.classify"}
+
+
+def _loaded(*argv):
+    """Modules the fresh interpreter `python -X importtime ARGV` imported."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "import shellbound"],
+        ["-m", "shellbound", "bound", "--n", "8", "--k", "2"],
+        ["-m", "shellbound", "filter", "--k", "3", "--n", "10"],
+        ["-m", "shellbound", "filter", "--k", "2", "--nmax", "100"],
+    ],
+    ids=["import", "bound", "filter-n", "filter-nmax"],
+)
+def test_request_loads_no_numpy(argv):
+    loaded = _loaded(*argv)
+    assert "shellbound" in loaded
+    assert loaded & NUMPY_BACKED == set()
+
+
+def test_numpy_backed_request_loads_numpy():
+    # the probe above sees numpy when a request does load it
+    assert NUMPY_BACKED <= _loaded("-m", "shellbound", "classify", "--lattice", "zn:2", "--k", "1")
+
+
+def test_names_resolve_to_their_home_objects():
+    assert shellbound.__all__[0] == "__version__"
+    for name in shellbound.__all__[1:]:
+        home = importlib.import_module(f"shellbound.{shellbound._HOME[name]}")
+        assert getattr(shellbound, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from shellbound import *", namespace)
+    assert {name: namespace[name] for name in shellbound.__all__} == {
+        name: getattr(shellbound, name) for name in shellbound.__all__
+    }
+
+
+def test_classify_stays_the_function_when_its_module_loads_first():
+    # loading shellbound.classify binds the module on the package; the
+    # public name classify must still be the function
+    probe = (
+        "import importlib, shellbound; "
+        "mod = importlib.import_module('shellbound.classify'); "
+        "print(shellbound.classify is mod.classify)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert result.stdout == "True\n", result.stderr[-2000:]
+
+
+def test_dir_covers_all_and_unknown_names_raise():
+    assert set(shellbound.__all__) <= set(dir(shellbound))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        shellbound.no_such_name
+    assert not hasattr(shellbound, "product_dtype")  # home-module names stay unexported
