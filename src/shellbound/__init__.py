@@ -15,7 +15,7 @@ import types
 from ._version import __version__
 
 _HOMES = {
-    "exactpoly": ("Poly", "Rational", "binom", "harmonic_dim", "gegenbauer", "cumulative_gegenbauer",
+    "exactpoly": ("Poly", "binom", "harmonic_dim", "gegenbauer", "cumulative_gegenbauer",
                   "cumulative_gegenbauer_closed", "fisher_bound", "shell_bound"),
     "errors": ("LatticeError", "InvalidGramError", "LatticeFormatError"),
     "lattice": ("GramLattice", "Shell", "SpanBasis", "builtin", "inner", "enumerate_shell",

@@ -477,9 +477,10 @@ def _inner_tally(S) -> Counter:
 
 
 def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:
-    """Naive double sum of the degree-i kernel over all ordered pairs."""
-    Q = gegenbauer(n, i)
-    return sum((c * Q(Fraction(p, k)) for p, c in tally.items()), Fraction(0))
+    """Double sum of the degree-i kernel over all ordered pairs from the tally
+    {<y,z>: count} of _inner_tally, not from the pair kernel behind
+    moment_sum: one integer per value p at p/k, one division (Poly.sum_at)."""
+    return gegenbauer(n, i).sum_at(tally, k)
 
 
 def _c11_oracles(ctx: VerifyContext) -> Dict:

@@ -160,11 +160,13 @@ def moment_sum(dist: PairDistribution, i: int) -> Fraction:
         raise ValueError("design strength is defined on the sphere, need n >= 2")
     if i < 1:
         raise ValueError("degree must be >= 1")
-    Q = gegenbauer(dist.n, i)
-    total = dist.size * Q(1)
+    weights = {dist.k: dist.size}  # the diagonal, alpha = 1
     for alpha, c in dist.counts.items():
-        total += c * Q(alpha)
-    return total
+        p, r = divmod(alpha.numerator * dist.k, alpha.denominator)
+        if r:
+            raise ValueError(f"inner product {alpha} is not an integer over {dist.k}")
+        weights[p] = weights.get(p, 0) + c
+    return gegenbauer(dist.n, i).sum_at(weights, dist.k)
 
 
 def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> DesignReport:

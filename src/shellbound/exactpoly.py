@@ -2,8 +2,9 @@
 
 A polynomial is a tuple of integer numerators over one common denominator,
 so its ring operations and evaluation run on Python ints with one gcd each;
-values come back as fractions.Fraction.  Every identity is exact; this module
-never touches floating point.
+values come back as fractions.Fraction.  A kernel sum over many points
+(Poly.sum_at) divides once; a cumulative Gegenbauer sum is one pass over one
+denominator.  Every identity is exact; this module never touches floats.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "Poly",
     "binom",
     "harmonic_dim",
@@ -72,14 +71,18 @@ class Poly:
         return len(self.num) - 1 if self.num else None
 
     def __call__(self, u: Scalar) -> Fraction:
-        # homogeneous Horner on u = p/q: acc = sum num[i] p**i q**(d-i), and
-        # qpow ends at q**(d+1), so the value is acc q / (den qpow)
-        p, q = u.numerator, u.denominator
-        acc, qpow = 0, 1
-        for c in reversed(self.num):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc * q, self.den * qpow)
+        return self.sum_at({u.numerator: 1}, u.denominator)
+
+    def sum_at(self, weights: Mapping[int, int], q: int) -> Fraction:
+        """Sum of c * P(p/q) over weights {p: c}, q != 0: one homogeneous Horner
+        integer sum(num[i] p**i q**(d-i)) per point, and one division."""
+        total = 0
+        for p, c in weights.items():
+            acc, qpow = 0, 1
+            for x in reversed(self.num):
+                acc, qpow = acc * p + x * qpow, qpow * q
+            total += c * acc
+        return Fraction(total * q, self.den * q ** len(self.num))  # q**d, also at d = -1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.num == other.num and self.den == other.den
@@ -130,45 +133,46 @@ def harmonic_dim(n: int, i: int) -> int:
     return binom(n + i - 1, i) - second
 
 
+def _kernel_sum(n: int, degrees: range) -> tuple:
+    """Numerators and denominator of the sum of the Gegenbauer kernels of the
+    given degrees, one parity, highest m first.  In degree i the coefficient
+    of u^(i-2j) is (-1)^j (n-2+2i) prod_{t<i-j-1} (n+2t) / (2^j j! (i-2j)!),
+    an integer over 2^h h! i! (h = i//2), so over m's 2^h h! m!.  It has no
+    1/lam, so n = 2 (lam = 0) gives twice the Chebyshev polynomial T_i."""
+    m = degrees[0]
+    den = 2 ** (m // 2) * math.factorial(m // 2) * math.factorial(m)
+    num = [0] * (m + 1)
+    for i in degrees:
+        for j in range(i // 2 + 1):
+            # Q_0 = 1 has neither factor
+            lead = (n - 2 + 2 * i) * math.prod(range(n, n + 2 * (i - j - 1), 2)) if i else 1
+            scale = den // (2**j * math.factorial(j) * math.factorial(i - 2 * j))
+            num[i - 2 * j] += (-1) ** j * lead * scale
+    return num, den
+
+
 @lru_cache(maxsize=None)
 def gegenbauer(n: int, i: int) -> Poly:
     """Degree-i Gegenbauer polynomial for the (n-1)-sphere, normalized so the
-    value at 1 is harmonic_dim(n, i).
-
-    This is Q_i = (lam+i)/lam C_i^lam with lam = (n-2)/2, built from the
-    explicit sum in integers: the coefficient of u^(i-2j) is
-    (-1)^j (n-2+2i) prod_{t<i-j-1} (n+2t) / (2^j j! (i-2j)!), and all of them
-    sit over the one denominator 2^h h! i! with h = i//2.  The sum has no
-    1/lam, so n = 2 (lam = 0) gives twice the Chebyshev polynomial T_i.
-    """
+    value at 1 is harmonic_dim(n, i): Q_i = (lam+i)/lam C_i^lam with
+    lam = (n-2)/2, from the explicit integer sum of _kernel_sum."""
     if n < 2:
         raise ValueError("gegenbauer requires dimension n >= 2")
     if i < 0:
         raise ValueError("degree must be non-negative")
-    if i == 0:
-        return Poly((1,))
-    h = i // 2
-    den = 2**h * math.factorial(h) * math.factorial(i)
-    num = [0] * (i + 1)
-    for j in range(h + 1):
-        rising = math.prod(range(n, n + 2 * (i - j - 1), 2))  # prod_{t<i-j-1} (n+2t)
-        scale = den // (2**j * math.factorial(j) * math.factorial(i - 2 * j))
-        num[i - 2 * j] = (-1) ** j * (n - 2 + 2 * i) * rising * scale
-    return Poly(num, den)
+    return Poly(*_kernel_sum(n, range(i, i + 1)))
 
 
 @lru_cache(maxsize=None)
 def cumulative_gegenbauer(n: int, m: int) -> Poly:
     """Sum of the degree-m Gegenbauer polynomial and all lower degrees of the
-    same parity, down to degree 0 or 1."""
+    same parity, down to degree 0 or 1, as one Poly over degree m's
+    denominator: no per-degree kernel is built or cached."""
     if n < 2:
         raise ValueError("cumulative_gegenbauer requires dimension n >= 2")
     if m < 0:
         raise ValueError("degree must be non-negative")
-    total = Poly()
-    for j in range(m, -1, -2):
-        total = total + gegenbauer(n, j)
-    return total
+    return Poly(*_kernel_sum(n, range(m, -1, -2)))
 
 
 def cumulative_gegenbauer_closed(n: int, m: int) -> Poly:

@@ -43,6 +43,14 @@ class Norm3Contradiction:
     consistent: bool
 
 
+def _odd_kernel_sum(n: int, k: int):
+    """The degree 2k-1 cumulative Gegenbauer sum, certified odd."""
+    poly = cumulative_gegenbauer(n, 2 * k - 1)
+    if any(poly.num[0::2]):
+        raise CertificationError(f"cumulative sum of degree {2 * k - 1} at n={n} is not odd")
+    return poly
+
+
 def root_filter(n: int, k: int) -> FilterReport:
     """Evaluate the degree 2k-1 cumulative Gegenbauer sum at j/k, 0 <= j < k.
 
@@ -53,9 +61,7 @@ def root_filter(n: int, k: int) -> FilterReport:
         raise ValueError("root_filter requires dimension n >= 2")
     if k < 1:
         raise ValueError("root_filter requires norm k >= 1")
-    poly = cumulative_gegenbauer(n, 2 * k - 1)
-    if any(poly.num[0::2]):
-        raise CertificationError(f"cumulative sum of degree {2 * k - 1} at n={n} is not odd")
+    poly = _odd_kernel_sum(n, k)
     evaluations = {Fraction(j, k): poly(Fraction(j, k)) for j in range(k)}
     return FilterReport(
         n=n, k=k, passes=all(v == 0 for v in evaluations.values()), evaluations=evaluations
@@ -68,7 +74,8 @@ def filter_search(k: int, n_max: int = 200) -> List[int]:
         raise ValueError("filter_search requires norm k >= 1")
     if n_max < 2:
         raise ValueError("filter_search requires n_max >= 2")
-    return [n for n in range(2, n_max + 1) if root_filter(n, k).passes]
+    return [n for n in range(2, n_max + 1)
+            if not any(_odd_kernel_sum(n, k).sum_at({j: 1}, k) for j in range(k))]
 
 
 def norm2_filter_dimension() -> int:
@@ -118,9 +125,9 @@ def circle_exclusion(k: int) -> bool:
     """
     if k < 2:
         raise ValueError("circle_exclusion requires k >= 2")
-    lower = 1 - Fraction(987, 100) / (8 * k * k)
-    # upper strictness is immediate: the angle pi/(2k) is in (0, pi/2)
-    return lower > Fraction(k - 1, k)
+    # 1 - 987/(800 k^2) > (k-1)/k, times 800 k^3 > 0, in integers; upper
+    # strictness is immediate: the angle pi/(2k) is in (0, pi/2)
+    return 800 * k**3 - 987 * k > 800 * k * k * (k - 1)
 
 
 def allowed_tight_strengths() -> frozenset:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shellbound.design import (
+    PairDistribution,
     annihilator,
     annihilator_identity_holds,
     antipodal_bound,
@@ -166,6 +167,12 @@ class TestMomentSum:
             moment_sum(pair_distribution(enumerate_shell(builtin("scaledz:1"), 1)), 2)
         with pytest.raises(ValueError):
             moment_sum(dist, 0)
+
+    def test_rejects_inner_product_off_the_norm_grid(self):
+        # the kernel is summed at the integers alpha * k, so alpha = 1/3 at k = 2 has no place
+        dist = PairDistribution(k=2, n=2, size=2, counts={Fraction(-1): 2, Fraction(1, 3): 0})
+        with pytest.raises(ValueError, match="not an integer over 2"):
+            moment_sum(dist, 1)
 
 
 class TestDesignStrength:

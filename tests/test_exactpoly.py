@@ -162,6 +162,43 @@ class TestPolyAgainstFractionReference:
         assert P == Poly(list(a) + [0, 0]) and hash(P) == hash(Poly(list(a) + [0, 0]))
 
 
+def _ref_sum_at(P, weights, q):
+    # from the Fraction coefficients alone, with no Horner step
+    return sum(
+        (c * sum((a * Fraction(p, q) ** i for i, a in enumerate(P.coeffs)), Fraction(0))
+         for p, c in weights.items()),
+        Fraction(0),
+    )
+
+
+class TestSumAt:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _coeff_lists,
+        st.dictionaries(st.integers(-40, 40), st.integers(-6, 6), max_size=6),
+        st.integers(1, 30),
+    )
+    def test_matches_coefficient_reference(self, a, weights, q):
+        P = Poly(a)
+        value = P.sum_at(weights, q)
+        assert isinstance(value, Fraction)
+        assert value == _ref_sum_at(P, weights, q)
+
+    @pytest.mark.parametrize("weights", [{}, {3: 0}, {-2: 5, 0: 0, 7: -1}])
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_edge_cases(self, weights, q):
+        P = Poly((Fraction(-1, 3), 2, 0, Fraction(5, 7)))
+        assert P.sum_at(weights, q) == _ref_sum_at(P, weights, q)
+        assert Poly().sum_at(weights, q) == 0
+        assert P.sum_at({}, q) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coeff_lists, _rationals)
+    def test_call_is_the_one_point_sum(self, a, u):
+        P = Poly(a)
+        assert P(u) == P.sum_at({u.numerator: 1}, u.denominator)
+
+
 class TestHarmonicDim:
     def test_values(self):
         assert harmonic_dim(8, 3) == 112
@@ -267,6 +304,24 @@ class TestCumulative:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_recurrence_step(self, n, m):
         assert cumulative_gegenbauer(n, m) == cumulative_gegenbauer(n, m - 2) + gegenbauer(n, m)
+
+    def test_one_pass_equals_sum_of_kernels(self):
+        # reference: the per-degree kernels added through Poly.__add__
+        for n in range(2, 61):
+            for m in range(0, 16):
+                ref = Poly()
+                for j in range(m, -1, -2):
+                    ref = ref + gegenbauer(n, j)
+                assert cumulative_gegenbauer(n, m) == ref, (n, m)
+
+    def test_leaves_no_kernel_in_the_gegenbauer_cache(self):
+        from shellbound.filter import filter_search
+
+        cumulative_gegenbauer.cache_clear()
+        before = gegenbauer.cache_info().currsize
+        filter_search(3, 200)
+        assert gegenbauer.cache_info().currsize == before
+        assert cumulative_gegenbauer.cache_info().currsize == 199
 
     def test_closed_form_only_small_odd(self):
         with pytest.raises(ValueError):

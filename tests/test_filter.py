@@ -46,6 +46,8 @@ class TestRootFilter:
         monkeypatch.setattr(filter_module, "cumulative_gegenbauer", lambda n, m: Poly((1, 1)))
         with pytest.raises(CertificationError):
             root_filter(8, 2)
+        with pytest.raises(CertificationError):
+            filter_search(2, 10)
 
     def test_evaluations_cover_required_roots(self):
         report = root_filter(5, 3)
@@ -72,6 +74,10 @@ class TestFilterSearch:
     def test_norm_one_passes_everywhere(self):
         assert filter_search(1, 10) == list(range(2, 11))
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_agrees_with_root_filter(self, k):
+        assert filter_search(k, 150) == [n for n in range(2, 151) if root_filter(n, k).passes]
+
 
 class TestClosedFormSolutions:
     def test_norm_two_dimension(self):
@@ -92,6 +98,11 @@ class TestCircleExclusion:
 
     def test_full_sweep(self):
         assert all(circle_exclusion(k) for k in range(2, 1001))
+
+    def test_matches_fraction_chain(self):
+        # the chain in Fractions: the reference for the integer form
+        for k in range(2, 5001):
+            assert circle_exclusion(k) == (1 - Fraction(987, 100) / (8 * k * k) > Fraction(k - 1, k))
 
     def test_rejects_norm_one(self):
         with pytest.raises(ValueError):
