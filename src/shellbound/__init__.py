@@ -14,17 +14,19 @@ import types
 
 from ._version import __version__
 
+# the public surface by home module, and the only list of it: no module
+# assigns its own __all__
 _HOMES = {
     "exactpoly": ("Poly", "binom", "harmonic_dim", "gegenbauer", "cumulative_gegenbauer",
                   "cumulative_gegenbauer_closed", "fisher_bound", "shell_bound"),
-    "errors": ("LatticeError", "InvalidGramError", "LatticeFormatError"),
-    "lattice": ("GramLattice", "Shell", "SpanBasis", "builtin", "inner", "enumerate_shell",
+    "errors": ("LatticeError", "InvalidGramError", "LatticeFormatError", "PreconditionError",
+               "CertificationError"),
+    "lattice": ("GramLattice", "Shell", "builtin", "inner", "enumerate_shell",
                 "enumerate_shells", "shell_count", "brute_force_shell", "brute_force_shells",
                 "hermite_normal_form", "span_of", "gram_det", "is_even",
                 "lattice_from_document", "lattice_to_document"),
     "design": ("Spectrum", "PairDistribution", "DesignReport", "pair_distribution", "spectrum",
-               "moment_sum", "design_strength", "antipodal_bound", "annihilator",
-               "annihilator_identity_holds"),
+               "moment_sum", "design_strength", "annihilator", "annihilator_identity_holds"),
     "filter": ("FilterReport", "Norm3Contradiction", "root_filter", "filter_search",
                "norm2_filter_dimension", "norm3_filter_contradiction", "circle_exclusion",
                "allowed_tight_strengths"),

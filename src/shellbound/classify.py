@@ -6,7 +6,7 @@ unimodular root lattice at norm 2)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict
 
@@ -18,7 +18,7 @@ from .design import (
     pair_distribution,
     spectrum,
 )
-from .errors import CertificationError
+from .errors import CertificationError, PreconditionError
 from .exactpoly import shell_bound
 from .filter import (
     allowed_tight_strengths,
@@ -35,18 +35,6 @@ from .lattice import (
     span_of,
 )
 
-__all__ = [
-    "RANK1",
-    "ZN",
-    "E8",
-    "NONE",
-    "CertificationError",
-    "EqualityReport",
-    "orthonormal_system",
-    "reflection_closure",
-    "recognize_e8",
-    "classify",
-]
 
 RANK1 = "RANK1"
 ZN = "ZN"
@@ -72,7 +60,7 @@ def orthonormal_system(S: Shell):
     """One vector per antipodal pair of a norm-1 shell, verified mutually
     orthogonal; returns those rows when there are n of them, else None."""
     if S.k != 1:
-        raise ValueError("orthonormal extraction applies to norm-1 shells")
+        raise PreconditionError("orthonormal extraction applies to norm-1 shells")
     L = S.lattice
     reps = S.vectors[len(S.vectors) // 2 :]
     if len(reps) != L.n:
@@ -87,7 +75,7 @@ def reflection_closure(S: Shell) -> bool:
     """True when a norm-2 shell is closed under its own root reflections
     s_a(b) = b - <b,a> a."""
     if S.k != 2:
-        raise ValueError("reflection closure applies to norm-2 shells")
+        raise PreconditionError("reflection closure applies to norm-2 shells")
     V = S.vectors
     # |<b,a>| <= 2 between norm-2 vectors, so the products fit in int64
     P = gram_products(V, S.lattice.gram, V).astype(np.int64)
@@ -105,7 +93,7 @@ def recognize_e8(S: Shell) -> bool:
     system: 240 vectors spanning a rank-8 even determinant-1 sublattice that
     is closed under its reflections."""
     if S.k != 2:
-        raise ValueError("the certificate applies to norm-2 shells")
+        raise PreconditionError("the certificate applies to norm-2 shells")
     if len(S.vectors) != 240:
         return False
     span = span_of(S.vectors, S.lattice)
@@ -124,14 +112,7 @@ def _exclusion_evidence(n: int, k: int) -> Dict:
     if n == 2:
         return {"exclusion": "circle", "circle_excluded": circle_exclusion(k)}
     if k == 3:
-        c = norm3_filter_contradiction()
-        return {
-            "exclusion": "norm3-filter",
-            "n_from_sum": c.n_from_sum,
-            "product_required": c.product_required,
-            "product_actual": c.product_actual,
-            "consistent": c.consistent,
-        }
+        return {"exclusion": "norm3-filter", **asdict(norm3_filter_contradiction())}
     return {
         "exclusion": "strength-table",
         "required_strength": 4 * k - 1,

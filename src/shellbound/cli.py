@@ -10,7 +10,8 @@ within a version (progress and timing go to standard error only).
 
 Exit codes: 0 success, 1 verification failure (including a failed internal
 certificate), 2 input error, 3 mathematical precondition violation or a
-size limit (including running out of memory).
+size limit (a PreconditionError, an invalid Gram matrix, or running out of
+memory).  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 # lattice, design and classify load numpy: imported where used, so bound and filter run without it
 from ._version import __version__
-from .errors import CertificationError, InvalidGramError, LatticeFormatError
+from .errors import CertificationError, InvalidGramError, LatticeFormatError, PreconditionError
 from .exactpoly import (
     binom,
     cumulative_gegenbauer,
@@ -47,8 +48,6 @@ from .filter import (
 
 if TYPE_CHECKING:
     from .lattice import GramLattice
-
-__all__ = ["main", "acceptance_criteria", "VerifyContext", "CriterionFailure", "SkipCriterion"]
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +328,7 @@ def _c04_filters(ctx: VerifyContext) -> Dict:
     _require(c.product_actual == Fraction(5, 96), "actual product wrong")
     _require(c.consistent is False, "norm-3 constraints reported consistent")
     _require(norm2_filter_dimension() == 8, "norm-2 dimension solve != 8")
-    return {
-        "search_k2": dims2,
-        "search_k3": dims3,
-        "n_from_sum": c.n_from_sum,
-        "product_required": c.product_required,
-        "product_actual": c.product_actual,
-        "consistent": c.consistent,
-    }
+    return {"search_k2": dims2, "search_k3": dims3, **asdict(c)}
 
 
 def _c05_closed_forms(ctx: VerifyContext) -> Dict:
@@ -476,13 +468,6 @@ def _inner_tally(S) -> Counter:
     return Counter({v: 2 * (H[v] + H[-v]) for v in H.keys() | {-v for v in H}})
 
 
-def _moment_direct(tally: Counter, n: int, k: int, i: int) -> Fraction:
-    """Double sum of the degree-i kernel over all ordered pairs from the tally
-    {<y,z>: count} of _inner_tally, not from the pair kernel behind
-    moment_sum: one integer per value p at p/k, one division (Poly.sum_at)."""
-    return gegenbauer(n, i).sum_at(tally, k)
-
-
 def _c11_oracles(ctx: VerifyContext) -> Dict:
     import numpy as np
 
@@ -503,8 +488,9 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
                 dist = pair_distribution(fast)
                 tally = _inner_tally(fast)
                 for i in range(1, 7):
+                    # the kernel summed over the tally, not over the pair kernel behind moment_sum
                     _require(
-                        moment_sum(dist, i) == _moment_direct(tally, L.n, k, i),
+                        moment_sum(dist, i) == gegenbauer(L.n, i).sum_at(tally, k),
                         f"{name} k={k} i={i}: moment mismatch",
                     )
                     moment_checks += 1
@@ -723,7 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (LatticeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidGramError, ValueError) as exc:
+    except (InvalidGramError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

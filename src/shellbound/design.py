@@ -15,10 +15,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import CertificationError, PreconditionError
 from .exactpoly import (
     Poly,
-    binom,
     cumulative_gegenbauer,
     fisher_bound,
     gegenbauer,
@@ -29,19 +28,6 @@ from .lattice import (
     product_dtype,
     worker_count,
 )
-
-__all__ = [
-    "Spectrum",
-    "PairDistribution",
-    "DesignReport",
-    "spectrum",
-    "pair_distribution",
-    "moment_sum",
-    "design_strength",
-    "antipodal_bound",
-    "annihilator",
-    "annihilator_identity_holds",
-]
 
 
 @dataclass(frozen=True)
@@ -79,15 +65,15 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     is twice the representative count at b plus twice the count at -b, and the
     count at -1 is the shell size (each point meets its antipode once).
 
-    Raises ValueError (bad input) when the shell is empty, has an odd number
-    of rows, is not antipodal in canonical order (row N-1-i is minus row i),
-    or has a row whose norm is not k.
+    Raises PreconditionError (bad input) when the shell is empty, has an odd
+    number of rows, is not antipodal in canonical order (row N-1-i is minus
+    row i), or has a row whose norm is not k.
     """
     N = len(S.vectors)
     if N == 0:
-        raise ValueError("pair_distribution needs a nonempty shell")
+        raise PreconditionError("pair_distribution needs a nonempty shell")
     if N % 2 or not np.array_equal(S.vectors[::-1], -S.vectors):
-        raise ValueError(f"pair_distribution needs an antipodal shell in canonical order ({N} rows)")
+        raise PreconditionError(f"pair_distribution needs an antipodal shell in canonical order ({N} rows)")
     k = S.k
     gram = S.lattice.gram
     # the upper half of the sorted antipodal rows holds one vector per pair
@@ -100,7 +86,7 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     W = V @ np.array(gram, dtype=dtype)
     norms = (V * W).sum(axis=1)  # exact in dtype, like every entry of V W^T
     if int(norms.min()) != k or int(norms.max()) != k:
-        raise ValueError(f"pair_distribution needs every row of norm {k}")
+        raise PreconditionError(f"pair_distribution needs every row of norm {k}")
     block = max(1, min(m, 4_000_000 // m + 1))
 
     def count_block(a):
@@ -157,14 +143,14 @@ def moment_sum(dist: PairDistribution, i: int) -> Fraction:
     the normalized shell vanish.
     """
     if dist.n < 2:
-        raise ValueError("design strength is defined on the sphere, need n >= 2")
+        raise PreconditionError("design strength is defined on the sphere, need n >= 2")
     if i < 1:
-        raise ValueError("degree must be >= 1")
+        raise PreconditionError("degree must be >= 1")
     weights = {dist.k: dist.size}  # the diagonal, alpha = 1
     for alpha, c in dist.counts.items():
         p, r = divmod(alpha.numerator * dist.k, alpha.denominator)
         if r:
-            raise ValueError(f"inner product {alpha} is not an integer over {dist.k}")
+            raise PreconditionError(f"inner product {alpha} is not an integer over {dist.k}")
         weights[p] = weights.get(p, 0) + c
     return gegenbauer(dist.n, i).sum_at(weights, dist.k)
 
@@ -179,7 +165,7 @@ def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> Desi
     if t_max is None:
         t_max = 4 * dist.k + 3
     if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+        raise PreconditionError("t_max must be >= 1")
     strength = 0
     for i in range(1, t_max + 1):
         if moment_sum(dist, i) == 0:
@@ -196,20 +182,10 @@ def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> Desi
     )
 
 
-def antipodal_bound(n: int, s: int) -> int:
-    """Size bound 2*binom(n+s-2, s-1) for an antipodal spherical set whose
-    distinct points realize s inner product values."""
-    if n < 2:
-        raise ValueError("antipodal_bound requires dimension n >= 2")
-    if s < 1:
-        raise ValueError("inner product count must be >= 1")
-    return 2 * binom(n + s - 2, s - 1)
-
-
 def annihilator(sp: Spectrum) -> Poly:
     """Product of (u - a)/(1 - a) over the spectrum; value 1 at u = 1."""
     if any(a == 1 for a in sp.values):
-        raise ValueError("annihilator undefined when 1 is an inner product value")
+        raise PreconditionError("annihilator undefined when 1 is an inner product value")
     p = Poly((1,))
     for a in sp.values:
         p = p * Poly((-a, 1)) * Fraction(1, 1 - Fraction(a))

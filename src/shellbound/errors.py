@@ -2,8 +2,6 @@
 command line can map them to exit codes before any numpy-backed module is
 imported."""
 
-__all__ = ["LatticeError", "InvalidGramError", "LatticeFormatError", "CertificationError"]
-
 
 class LatticeError(Exception):
     pass
@@ -15,6 +13,11 @@ class InvalidGramError(LatticeError):
 
 class LatticeFormatError(LatticeError):
     """Malformed lattice document or unknown builtin name."""
+
+
+class PreconditionError(ValueError):
+    """An argument outside a function's mathematical domain, or a request past
+    a documented size limit."""
 
 
 class CertificationError(RuntimeError):

@@ -15,24 +15,15 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Union
 
-Scalar = Union[int, Fraction]
+from .errors import PreconditionError
 
-__all__ = [
-    "Poly",
-    "binom",
-    "harmonic_dim",
-    "gegenbauer",
-    "cumulative_gegenbauer",
-    "cumulative_gegenbauer_closed",
-    "fisher_bound",
-    "shell_bound",
-]
+Scalar = Union[int, Fraction]
 
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient a choose b, with the convention binom(a, b) = 0 for b > a."""
     if a < 0 or b < 0:
-        raise ValueError("binom expects non-negative arguments")
+        raise PreconditionError("binom expects non-negative arguments")
     if b > a:
         return 0
     return math.comb(a, b)
@@ -126,9 +117,9 @@ class Poly:
 def harmonic_dim(n: int, i: int) -> int:
     """Dimension of the space of degree-i harmonic polynomials on the (n-1)-sphere."""
     if n < 2:
-        raise ValueError("harmonic_dim requires dimension n >= 2")
+        raise PreconditionError("harmonic_dim requires dimension n >= 2")
     if i < 0:
-        raise ValueError("degree must be non-negative")
+        raise PreconditionError("degree must be non-negative")
     second = binom(n + i - 3, i - 2) if i >= 2 else 0
     return binom(n + i - 1, i) - second
 
@@ -157,28 +148,27 @@ def gegenbauer(n: int, i: int) -> Poly:
     value at 1 is harmonic_dim(n, i): Q_i = (lam+i)/lam C_i^lam with
     lam = (n-2)/2, from the explicit integer sum of _kernel_sum."""
     if n < 2:
-        raise ValueError("gegenbauer requires dimension n >= 2")
+        raise PreconditionError("gegenbauer requires dimension n >= 2")
     if i < 0:
-        raise ValueError("degree must be non-negative")
+        raise PreconditionError("degree must be non-negative")
     return Poly(*_kernel_sum(n, range(i, i + 1)))
 
 
-@lru_cache(maxsize=None)
 def cumulative_gegenbauer(n: int, m: int) -> Poly:
     """Sum of the degree-m Gegenbauer polynomial and all lower degrees of the
     same parity, down to degree 0 or 1, as one Poly over degree m's
     denominator: no per-degree kernel is built or cached."""
     if n < 2:
-        raise ValueError("cumulative_gegenbauer requires dimension n >= 2")
+        raise PreconditionError("cumulative_gegenbauer requires dimension n >= 2")
     if m < 0:
-        raise ValueError("degree must be non-negative")
+        raise PreconditionError("degree must be non-negative")
     return Poly(*_kernel_sum(n, range(m, -1, -2)))
 
 
 def cumulative_gegenbauer_closed(n: int, m: int) -> Poly:
     """Closed forms of the cumulative sums for m in {1, 3, 5}."""
     if n < 2:
-        raise ValueError("cumulative_gegenbauer_closed requires dimension n >= 2")
+        raise PreconditionError("cumulative_gegenbauer_closed requires dimension n >= 2")
     if m == 1:
         return Poly((0, n))
     if m == 3:
@@ -187,15 +177,15 @@ def cumulative_gegenbauer_closed(n: int, m: int) -> Poly:
     if m == 5:
         c = Fraction(n * (n + 2) * (n + 4), 120)
         return Poly((0, 15 * c, 0, -10 * (n + 6) * c, 0, (n + 6) * (n + 8) * c))
-    raise ValueError("closed form available only for m in {1, 3, 5}")
+    raise PreconditionError("closed form available only for m in {1, 3, 5}")
 
 
 def fisher_bound(n: int, t: int) -> int:
     """Minimum size of a spherical t-design on the (n-1)-sphere."""
     if n < 2:
-        raise ValueError("fisher_bound requires dimension n >= 2")
+        raise PreconditionError("fisher_bound requires dimension n >= 2")
     if t < 0:
-        raise ValueError("strength must be non-negative")
+        raise PreconditionError("strength must be non-negative")
     e = t // 2
     if t % 2 == 0:
         second = binom(n + e - 2, e - 1) if e >= 1 else 0
@@ -207,7 +197,7 @@ def shell_bound(n: int, k: int) -> int:
     """Upper bound 2*binom(n+2k-2, 2k-1) on the number of lattice vectors of
     squared norm k in an integral lattice of rank n."""
     if n < 1:
-        raise ValueError("shell_bound requires dimension n >= 1")
+        raise PreconditionError("shell_bound requires dimension n >= 1")
     if k < 1:
-        raise ValueError("shell_bound requires norm k >= 1")
+        raise PreconditionError("shell_bound requires norm k >= 1")
     return 2 * binom(n + 2 * k - 2, 2 * k - 1)

@@ -13,18 +13,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .exactpoly import cumulative_gegenbauer
-from .errors import CertificationError
-
-__all__ = [
-    "FilterReport",
-    "Norm3Contradiction",
-    "root_filter",
-    "filter_search",
-    "norm2_filter_dimension",
-    "norm3_filter_contradiction",
-    "circle_exclusion",
-    "allowed_tight_strengths",
-]
+from .errors import CertificationError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -58,9 +47,9 @@ def root_filter(n: int, k: int) -> FilterReport:
     zero is equivalent to the root set being exactly {0, +-1/k, ..., +-(k-1)/k}.
     """
     if n < 2:
-        raise ValueError("root_filter requires dimension n >= 2")
+        raise PreconditionError("root_filter requires dimension n >= 2")
     if k < 1:
-        raise ValueError("root_filter requires norm k >= 1")
+        raise PreconditionError("root_filter requires norm k >= 1")
     poly = _odd_kernel_sum(n, k)
     evaluations = {Fraction(j, k): poly(Fraction(j, k)) for j in range(k)}
     return FilterReport(
@@ -71,9 +60,9 @@ def root_filter(n: int, k: int) -> FilterReport:
 def filter_search(k: int, n_max: int = 200) -> List[int]:
     """All dimensions n in [2, n_max] passing the root filter for norm k."""
     if k < 1:
-        raise ValueError("filter_search requires norm k >= 1")
+        raise PreconditionError("filter_search requires norm k >= 1")
     if n_max < 2:
-        raise ValueError("filter_search requires n_max >= 2")
+        raise PreconditionError("filter_search requires n_max >= 2")
     return [n for n in range(2, n_max + 1)
             if not any(_odd_kernel_sum(n, k).sum_at({j: 1}, k) for j in range(k))]
 
@@ -124,7 +113,7 @@ def circle_exclusion(k: int) -> bool:
     so the whole chain is exact.
     """
     if k < 2:
-        raise ValueError("circle_exclusion requires k >= 2")
+        raise PreconditionError("circle_exclusion requires k >= 2")
     # 1 - 987/(800 k^2) > (k-1)/k, times 800 k^3 > 0, in integers; upper
     # strictness is immediate: the angle pi/(2k) is in (0, pi/2)
     return 800 * k**3 - 987 * k > 800 * k * k * (k - 1)

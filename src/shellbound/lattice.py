@@ -20,33 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, InvalidGramError, LatticeError, LatticeFormatError
-
-__all__ = [
-    "LatticeError",
-    "InvalidGramError",
-    "LatticeFormatError",
-    "CertificationError",
-    "GramLattice",
-    "Shell",
-    "SpanBasis",
-    "builtin",
-    "inner",
-    "product_dtype",
-    "gram_products",
-    "worker_count",
-    "enumerate_shell",
-    "enumerate_shells",
-    "shell_count",
-    "brute_force_shell",
-    "brute_force_shells",
-    "hermite_normal_form",
-    "span_of",
-    "gram_det",
-    "is_even",
-    "lattice_from_document",
-    "lattice_to_document",
-]
+from .errors import CertificationError, InvalidGramError, LatticeFormatError, PreconditionError
 
 
 def _elimination(rows):
@@ -125,7 +99,7 @@ class Shell:
 
     def __post_init__(self):
         if not isinstance(self.vectors, np.ndarray) or self.vectors.ndim != 2:
-            raise ValueError("shell vectors must be a 2-D numpy array")
+            raise PreconditionError("shell vectors must be a 2-D numpy array")
         # shells are cached and shared, so nobody may write into them
         self.vectors.flags.writeable = False
 
@@ -250,7 +224,7 @@ def builtin(name: str) -> GramLattice:
 def inner(L: GramLattice, v: Sequence[int], w: Sequence[int]) -> int:
     """Exact inner product v^T G w in the lattice's bilinear form."""
     if len(v) != L.n or len(w) != L.n:
-        raise ValueError("vector length does not match lattice dimension")
+        raise PreconditionError("vector length does not match lattice dimension")
     g = L.gram
     total = 0
     for i, vi in enumerate(v):
@@ -352,7 +326,7 @@ def _children(coords, zflag, lo, hi, col):
     lo = np.where(zflag, np.maximum(lo, 0), lo)
     if max(np.abs(lo).max(), np.abs(hi).max()) >= 2**53:
         # a size guard, which also keeps every coordinate inside int64
-        raise ValueError("shell coordinates reach 2**53, too large to enumerate")
+        raise PreconditionError("shell coordinates reach 2**53, too large to enumerate")
     cnt = (hi - lo + 1).astype(np.int64)
     np.maximum(cnt, 0, out=cnt)
     total = int(cnt.sum())
@@ -458,7 +432,7 @@ def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: Shell} of all lattice vectors of squared norm k, for every k from
     kmin to kmax, from one exact search in a pairwise reduced basis."""
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
-        raise ValueError("k must be a positive integer")
+        raise PreconditionError("k must be a positive integer")
     n = L.n
     G, U = _pair_reduce(L.gram)
     identity = U == _identity(n)
@@ -517,12 +491,12 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: Shell} for kmin <= k <= kmax by one exhaustive scan of the norm-kmax
     box; exponential in dimension."""
     if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
-        raise ValueError("k must be a positive integer")
+        raise PreconditionError("k must be a positive integer")
     n = L.n
     bounds = _box_bounds(L, kmax)
     if product_dtype(max(bounds), L.gram) is not np.float64:
         # the bound that keeps every partial sum of the scan below 2**52
-        raise ValueError("oracle box too large for an exact float64 scan")
+        raise PreconditionError("oracle box too large for an exact float64 scan")
     G = np.array(L.gram, dtype=np.int64)
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 
@@ -576,7 +550,7 @@ def hermite_normal_form(rows) -> list:
     """
     H = [list(int(x) for x in r) for r in rows]
     if not H:
-        raise ValueError("hermite_normal_form needs at least one row")
+        raise PreconditionError("hermite_normal_form needs at least one row")
     m = len(H)
     n = len(H[0])
     r = 0
@@ -617,10 +591,10 @@ def span_of(vectors, L: GramLattice) -> SpanBasis:
     together with the Gram matrix of that basis under L's form."""
     vectors = list(vectors)
     if not vectors:
-        raise ValueError("span_of needs at least one vector")
+        raise PreconditionError("span_of needs at least one vector")
     for v in vectors:
         if len(v) != L.n:
-            raise ValueError("vector length does not match lattice dimension")
+            raise PreconditionError("vector length does not match lattice dimension")
     basis = hermite_normal_form(vectors)
     rank = len(basis)
     gb = gram_products(basis, L.gram, basis).tolist()

@@ -208,6 +208,23 @@ class TestErrorExits:
         assert out == ""
         assert err.startswith("error: ") and "norm check" in err
 
+    def test_design_on_rank_one_exits_3(self, capsys):
+        # design strength lives on the sphere: a precondition, not a bug
+        assert cli.main(["design", "--lattice", "scaledz:1", "--k", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: design strength is defined on the sphere, need n >= 2\n"
+
+    def test_foreign_value_error_keeps_its_traceback(self, monkeypatch):
+        # a ValueError the package did not raise as a precondition is a bug,
+        # not exit 3
+        def broken(threads):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(importlib.import_module("shellbound.design"), "worker_count", broken)
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            cli.main(["spectrum", "--lattice", "e8", "--k", "2"])
+
     @pytest.mark.parametrize("message", ["Unable to allocate 2.00 GiB", ""])
     def test_out_of_memory_exits_3(self, monkeypatch, capsys, message):
         # an allocation that fails is reported in one line, not a traceback

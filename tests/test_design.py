@@ -8,7 +8,6 @@ from shellbound.design import (
     PairDistribution,
     annihilator,
     annihilator_identity_holds,
-    antipodal_bound,
     design_strength,
     moment_sum,
     pair_distribution,
@@ -214,11 +213,10 @@ class TestDesignStrength:
 
 class TestAntipodalBound:
     def test_e8_chain(self, e8_shell):
-        # count <= antipodal bound at s distinct values <= shell bound at s = 2k
+        # s = 2k distinct values, and the count meets the shell bound
         s = len(spectrum(pair_distribution(e8_shell)).values)
         assert s == 4
-        assert len(e8_shell.vectors) <= antipodal_bound(8, s) <= shell_bound(8, 2)
-        assert antipodal_bound(8, 4) == 240
+        assert len(e8_shell.vectors) <= shell_bound(8, 2)
 
     @pytest.mark.parametrize("name,k", [("zn:4", 1), ("dn:4", 2), ("an:3", 2), ("zn:3", 3)])
     def test_chain_on_catalog(self, name, k):
@@ -228,7 +226,7 @@ class TestAntipodalBound:
         s = len(spectrum(pair_distribution(S)).values)
         n = S.lattice.n
         assert s <= 2 * k
-        assert len(S.vectors) <= antipodal_bound(n, s) <= shell_bound(n, k)
+        assert len(S.vectors) <= shell_bound(n, k)
 
 
 class TestAnnihilator:

@@ -3,9 +3,12 @@
 every public name still resolves, on first use, to the object of its home
 module.  Each load check runs in a fresh interpreter."""
 
+import ast
 import importlib
+import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +33,9 @@ def _loaded(*argv):
         ["-m", "shellbound", "bound", "--n", "8", "--k", "2"],
         ["-m", "shellbound", "filter", "--k", "3", "--n", "10"],
         ["-m", "shellbound", "filter", "--k", "2", "--nmax", "100"],
+        ["-c", "from shellbound import CertificationError, PreconditionError"],
     ],
-    ids=["import", "bound", "filter-n", "filter-nmax"],
+    ids=["import", "bound", "filter-n", "filter-nmax", "errors"],
 )
 def test_request_loads_no_numpy(argv):
     loaded = _loaded(*argv)
@@ -76,3 +80,25 @@ def test_dir_covers_all_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         shellbound.no_such_name
     assert not hasattr(shellbound, "product_dtype")  # home-module names stay unexported
+
+
+def test_every_exception_type_is_exported():
+    errors = importlib.import_module("shellbound.errors")
+    exceptions = {
+        name for name, obj in vars(errors).items() if inspect.isclass(obj) and issubclass(obj, Exception)
+    }
+    assert exceptions == {
+        "LatticeError", "InvalidGramError", "LatticeFormatError", "PreconditionError", "CertificationError"
+    }
+    assert exceptions <= set(shellbound.__all__)
+
+
+def test_only_the_package_declares_all():
+    # _HOMES is the one list of public names: no module keeps a second one
+    assigners = set()
+    for path in Path(shellbound.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                assigners.add(path.name)
+    assert assigners == {"__init__.py"}
