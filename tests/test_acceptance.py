@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from shellbound.cli import (
+from shellbound.verify import (
     CriterionFailure,
     SkipCriterion,
     VerifyContext,

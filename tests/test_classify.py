@@ -16,7 +16,8 @@ from shellbound.classify import (
     recognize_e8,
     reflection_closure,
 )
-from shellbound.lattice import GramLattice, builtin, enumerate_shell
+from shellbound.design import design_strength, pair_distribution
+from shellbound.lattice import _E8_EDGES, GramLattice, _cartan, builtin, enumerate_shell
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,28 @@ class TestCheckEquality:
         ]:
             report = classify(shell)
             assert (report.count, report.bound, report.equality) == triple
+
+
+@pytest.fixture(scope="module", params=[6, 7], ids=["e6", "e7"])
+def exceptional(request):
+    """E6 or E7: the Cartan submatrix of the E8 diagram on its first n nodes."""
+    n = request.param
+    return n, GramLattice(_cartan(n, [e for e in _E8_EDGES if max(e) < n]), name=f"e{n}")
+
+
+class TestExceptionalSublattices:
+    # (count, bound) at norms 2 and 4; every one of these shells is a 5-design
+    COUNTS = {6: {2: (72, 112), 4: (270, 1584)}, 7: {2: (126, 168), 4: (756, 3432)}}
+
+    @pytest.mark.parametrize("k, exclusion", [(2, "count"), (4, "strength-table")])
+    def test_counts_strength_and_exclusion(self, exceptional, k, exclusion):
+        n, L = exceptional
+        S = enumerate_shell(L, k)
+        assert design_strength(pair_distribution(S)).strength == 5
+        report = classify(S)
+        assert (report.count, report.bound) == self.COUNTS[n][k]
+        assert report.case == NONE and not report.equality
+        assert report.evidence["exclusion"] == exclusion
 
 
 class TestOrthonormalSystem:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shellbound import cli
+from shellbound import cli, verify
 from shellbound.lattice import CertificationError, Shell, builtin, enumerate_shell, inner, lattice_to_document
 
 
@@ -347,6 +347,18 @@ class TestVerifyPaper:
         doc = parse_report(result.stdout)
         assert doc["result"]["criteria"][0]["status"] == "fail"
 
+    def test_override_of_an_unknown_name_exits_2(self, tmp_path):
+        # builtin names are case-sensitive: no criterion reads "E8", so the
+        # tampered Gram would go unread and C03 would pass
+        rows = [list(r) for r in builtin("e8").gram]
+        rows[0][2] = rows[2][0] = 0
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"dim": 8, "gram": rows}))
+        result = run_cli("verify-paper", "--override", f"E8=@{path}", "--criteria", "C03", "--quiet")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "'E8'" in result.stderr
+
     def test_override_without_equality_fails_c09(self, tmp_path):
         # A3 has no norm-1 vectors, so zn:3 misses the bound: a fail row, not an error
         path = tmp_path / "a3.json"
@@ -394,36 +406,34 @@ class TestVerifyPaper:
                 return fn(L, *args, **kwargs)
             return wrapper
 
-        search = counting(mod.enumerate_shells, searches)
-        monkeypatch.setattr(mod, "enumerate_shells", search)
+        monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells, searches))
         monkeypatch.setattr(mod, "_box_bounds", counting(mod._box_bounds, scans))
         assert cli.main(["verify-paper", "--criteria", "C08,C11", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
-        assert searches == Counter(set(cli._C08_BUILTINS) | set(cli._C11_BUILTINS))
-        assert scans == Counter(cli._C11_BUILTINS)
+        assert searches == Counter(set(verify._C08_BUILTINS) | set(verify._C11_BUILTINS))
+        assert scans == Counter(verify._C11_BUILTINS)
 
     def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
         # C07 takes the scaled lines from the context's cache, so C08 finds
         # their norms 1..6 there instead of searching them again
-        mod = importlib.import_module("shellbound.lattice")
-        original = mod.enumerate_shells
+        original = verify.enumerate_shells
         searched = Counter()
 
         def counting(L, kmax, kmin=1):
             searched.update((L.name, k) for k in range(kmin, kmax + 1))
             return original(L, kmax, kmin)
 
-        monkeypatch.setattr(mod, "enumerate_shells", counting)
+        monkeypatch.setattr(verify, "enumerate_shells", counting)
         assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
         scaled = {(f"scaledz:{q}", k) for q in (1, 2, 4, 9) for k in range(1, 41)}
-        assert set(searched) == scaled | {(name, k) for name in cli._C08_BUILTINS for k in range(1, 7)}
+        assert set(searched) == scaled | {(name, k) for name in verify._C08_BUILTINS for k in range(1, 7)}
         assert max(searched.values()) == 1
 
     def test_rank_one_reports_are_not_kept(self):
         # no later criterion reads C07's 160 equality reports; its shells stay for C08
-        ctx = cli.VerifyContext(threads=1, verbose=False)
-        cli._c07_rank1(ctx)
+        ctx = verify.VerifyContext(threads=1, verbose=False)
+        verify._c07_rank1(ctx)
         assert not any(name.startswith("scaledz:") for name, k in ctx._reports)
         assert len(ctx._shells) == 160
 
@@ -431,13 +441,13 @@ class TestVerifyPaper:
 def test_c11_tally_matches_scalar_inner():
     # every shell whose moments C11 checks against the naive double sum
     checked = 0
-    for name in cli._C11_BUILTINS:
+    for name in verify._C11_BUILTINS:
         L = builtin(name)
         for k in range(1, 7):
             S = enumerate_shell(L, k)
             if L.n >= 2 and 0 < len(S.vectors) <= 200:
                 V = S.vectors.tolist()
-                assert cli._inner_tally(S) == Counter(inner(L, y, z) for y in V for z in V), (name, k)
+                assert verify._inner_tally(S) == Counter(inner(L, y, z) for y in V for z in V), (name, k)
                 checked += 1
     assert checked == 47
 
@@ -447,7 +457,7 @@ def test_c11_tally_rejects_rows_out_of_antipodal_order():
     # not a +-pair; and an odd shell whose reversal is its negation
     for rows in ([[0, 1], [1, 0]], [[-1, 0], [0, 0], [1, 0]]):
         with pytest.raises(CertificationError):
-            cli._inner_tally(Shell(1, np.array(rows), L))
+            verify._inner_tally(Shell(1, np.array(rows), L))
 
 
 class TestVersionFlag:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shellbound.cli import _C11_BUILTINS
 from shellbound.exactpoly import shell_bound
 from shellbound.lattice import (
     GramLattice,
@@ -31,6 +30,7 @@ from shellbound.lattice import (
     span_of,
 )
 from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _elimination, _isqrt, _pair_reduce, _search
+from shellbound.verify import _C11_BUILTINS
 
 
 class TestGramLattice:

@@ -10,7 +10,7 @@ SOURCES = sorted(Path(shellbound.__file__).parent.glob("*.py"))
 
 
 def test_package_sources_found():
-    assert {p.name for p in SOURCES} >= {"cli.py", "design.py", "exactpoly.py", "filter.py"}
+    assert {p.name for p in SOURCES} >= {"cli.py", "design.py", "exactpoly.py", "filter.py", "verify.py"}
 
 
 def test_no_assert_statements():

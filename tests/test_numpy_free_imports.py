@@ -10,7 +10,7 @@ import shellbound
 
 PACKAGE = Path(shellbound.__file__).parent
 NUMPY_FREE = ("__init__.py", "cli.py", "errors.py", "exactpoly.py", "filter.py")
-NUMPY_BACKED = {"numpy", "lattice", "design", "classify"}
+NUMPY_BACKED = {"numpy", "lattice", "design", "classify", "verify"}
 
 
 def _imports_run_at_load(tree):

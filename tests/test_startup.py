@@ -43,6 +43,28 @@ def test_request_loads_no_numpy(argv):
     assert loaded & NUMPY_BACKED == set()
 
 
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["classify", "--lattice", "zn:2", "--k", "1"],
+        ["shell", "--lattice", "zn:2", "--k", "1"],
+        ["bound", "--n", "8", "--k", "2"],
+        ["filter", "--k", "2", "--n", "8"],
+    ],
+    ids=["classify", "shell", "bound", "filter"],
+)
+def test_request_loads_no_verification_engine(request_args):
+    # only verify-paper compiles and runs the acceptance engine
+    loaded = _loaded("-m", "shellbound", *request_args)
+    assert "shellbound.cli" in loaded
+    assert "shellbound.verify" not in loaded
+
+
+def test_verify_paper_loads_the_verification_engine():
+    # the probe above sees the engine when a request does load it
+    assert "shellbound.verify" in _loaded("-m", "shellbound", "verify-paper", "--criteria", "C01", "--quiet")
+
+
 def test_numpy_backed_request_loads_numpy():
     # the probe above sees numpy when a request does load it
     assert NUMPY_BACKED <= _loaded("-m", "shellbound", "classify", "--lattice", "zn:2", "--k", "1")

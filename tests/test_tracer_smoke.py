@@ -7,20 +7,35 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_classify_records_case_and_shell_size(tmp_path):
+def _trace(tmp_path, *request):
+    """The spans of one request run through the tracer script."""
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "r1",
-         "classify", "--lattice", "e8", "--k", "2"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "r1", *request],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    spans = [[name, info] for name, _, _, _, info in json.loads(spans_out.read_text())["spans"]]
+    return json.loads(spans_out.read_text())["spans"]
+
+
+def test_traced_classify_records_case_and_shell_size(tmp_path):
+    spans = [[name, info] for name, _, _, _, info in _trace(tmp_path, "classify", "--lattice", "e8", "--k", "2")]
     assert ["classify.classify", {"case": "E8"}] in spans
     assert ["design.pair_distribution", {"size": 240, "rank": 8}] in spans
+
+
+def test_traced_criteria_span_their_library_calls(tmp_path):
+    # the engine loads after the tracer has wrapped the library, so each
+    # criterion's calls nest under its span
+    spans = _trace(tmp_path, "verify-paper", "--quiet", "--criteria", "C04,C11")
+    edges = Counter((spans[parent][0], name) for name, _, _, parent, _ in spans if parent >= 0)
+    assert edges[("cli.criterion.C04", "filter.filter_search")] == 2
+    assert edges[("cli.criterion.C11", "design.pair_distribution")] == 47
+    assert edges[("cli.criterion.C11", "design.moment_sum")] == 282
