@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Dict
 
 import numpy as np
@@ -94,15 +93,22 @@ def recognize_e8(S: Shell) -> bool:
     is closed under its reflections."""
     if S.k != 2:
         raise PreconditionError("the certificate applies to norm-2 shells")
-    if len(S.vectors) != 240:
-        return False
+    return len(S.vectors) == 240 and _certifies_e8(_e8_certificate(S))
+
+
+def _e8_certificate(S: Shell) -> Dict:
+    # recognize_e8's measurements: the span's rank, det and evenness, and reflection closure
     span = span_of(S.vectors, S.lattice)
-    return _e8_span(span) and reflection_closure(S)
+    return {
+        "span_rank": span.rank,
+        "span_det": gram_det(span),
+        "span_even": is_even(span),
+        "reflection_closure": reflection_closure(S),
+    }
 
 
-def _e8_span(span) -> bool:
-    # the span half of the certificate: even, unimodular, rank 8
-    return span.rank == 8 and gram_det(span) == 1 and is_even(span)
+def _certifies_e8(ev: Dict) -> bool:
+    return ev["span_rank"] == 8 and ev["span_det"] == 1 and ev["span_even"] and ev["reflection_closure"]
 
 
 def _exclusion_evidence(n: int, k: int) -> Dict:
@@ -151,11 +157,10 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
 
     dist = pair_distribution(S, threads=threads)
     sp = spectrum(dist)
-    full_values = {Fraction(j, k) for j in range(-(k - 1), k)} | {Fraction(-1)}
     report = design_strength(dist)
     evidence = {
         "spectrum": sp.values,
-        "spectrum_complete": set(sp.values) == full_values,
+        "spectrum_complete": set(dist.counts) == set(range(-k, k)),
         "strength": report.strength,
         "strength_at_least_required": report.strength >= 4 * k - 1,
         "tight": report.tight,
@@ -172,17 +177,11 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
         case = ZN
     elif k == 2:
         fr = root_filter(n, 2)
-        span = span_of(S.vectors, L)
         evidence["root_filter_passes"] = fr.passes
-        evidence["span_rank"] = span.rank
-        evidence["span_det"] = gram_det(span)
-        evidence["span_even"] = is_even(span)
-        evidence["reflection_closure"] = reflection_closure(S)
+        evidence.update(_e8_certificate(S))
         evidence["recognition"] = "e8-certificate"
-        # equality at n = 8, k = 2 means 240 vectors, so span and closure
-        # complete recognize_e8's certificate without computing them again
-        certified = _e8_span(span) and evidence["reflection_closure"]
-        if not (fr.passes and n == 8 and certified and consequences_ok):
+        # equality at n = 8, k = 2 means 240 vectors, so this is all of recognize_e8's test
+        if not (fr.passes and n == 8 and _certifies_e8(evidence) and consequences_ok):
             raise CertificationError("norm-2 equality failed its certification; this is a bug")
         case = E8
     else:

@@ -137,7 +137,7 @@ def _cmd_spectrum(args) -> int:
     result = {
         "count": len(S.vectors),
         "values": sp.values,
-        "pair_counts": dist.counts,
+        "pair_counts": {Fraction(j, dist.k): c for j, c in dist.counts.items()},
     }
     _emit("spectrum", {"lattice": args.lattice, "k": args.k}, result)
     return 0
@@ -248,6 +248,9 @@ def _cmd_verify_paper(args) -> int:
         verbose=not args.quiet,
     )
     table = [run_criterion(c, ctx) for c in criteria]
+    unread = [repr(name) for name in overrides if name not in ctx.served]
+    if unread:
+        raise LatticeFormatError(f"no selected criterion reads the overridden lattice {', '.join(unread)}")
     failed = sum(1 for e in table if e["status"] == "fail")
     passed = sum(1 for e in table if e["status"] == "pass")
     skipped = sum(1 for e in table if e["status"] == "skip")

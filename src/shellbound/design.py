@@ -1,10 +1,10 @@
 """Exact inner-product spectra, pair distributions, spherical design strength,
 and the annihilator polynomial identity for lattice shells.
 
-Normalized shell points are never materialized; every formula runs on the
-exact rationals <y,z>/k.  The integers <y,z> come from one matrix product in
-the arithmetic that lattice.product_dtype proves exact (float64, int64 or
-Python ints), the same decision behind lattice.gram_products.
+Normalized shell points are never materialized: every formula runs on the
+integers <y,z>, which key the pair counts, over the one denominator k.  They
+come from one matrix product in the arithmetic that lattice.product_dtype
+proves exact (float64, int64 or Python ints), as lattice.gram_products does.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PairDistribution:
-    """Counts of ordered distinct pairs per normalized inner product, over
-    the norm-k shell of a rank-n lattice."""
+    """Counts of ordered distinct pairs of the norm-k shell of a rank-n
+    lattice, keyed by the integer inner product <y,z> in [-k, k): the
+    normalized inner product is <y,z>/k, and -k is the antipode."""
 
     k: int
     n: int
     size: int
-    counts: Dict[Fraction, int]
+    counts: Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ class DesignReport:
 
 
 def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
-    """Exact ordered-pair counts per normalized inner product value.
+    """Exact ordered-pair counts per integer inner product <y,z>.
 
-    Works on antipodal representatives: for b not equal to +-1 the full count
-    is twice the representative count at b plus twice the count at -b, and the
-    count at -1 is the shell size (each point meets its antipode once).
+    Works on antipodal representatives: for j != -k the full count is twice
+    the representative count at j plus twice the count at -j, and the count
+    at -k is the shell size (each point meets its antipode once).
 
     Raises PreconditionError (bad input) when the shell is empty, has an odd
     number of rows, is not antipodal in canonical order (row N-1-i is minus
@@ -119,9 +120,9 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
         raise CertificationError("distinct representatives cannot be collinear")
     if -k in raw:
         raise CertificationError("representatives contain an antipodal pair")
-    counts: Dict[Fraction, int] = {Fraction(-1): N}
+    counts = {-k: N}
     for p in sorted(set(raw) | {-p for p in raw}):
-        counts[Fraction(p, k)] = 2 * (raw.get(p, 0) + raw.get(-p, 0))
+        counts[p] = 2 * (raw.get(p, 0) + raw.get(-p, 0))
     if sum(counts.values()) != N * (N - 1):
         raise CertificationError(f"pair counts do not sum to {N}*{N - 1}")
     return PairDistribution(k=k, n=S.lattice.n, size=N, counts=counts)
@@ -129,11 +130,11 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
 
 def spectrum(dist: PairDistribution) -> Spectrum:
     """Set of normalized inner products <y,z>/k over distinct shell vectors."""
-    values = tuple(sorted(dist.counts))
-    for a in values:
-        if not (Fraction(-1) <= a < 1 and (a * dist.k).denominator == 1):
-            raise CertificationError(f"inner product {a} is neither -1 nor j/k with |j| < k")
-    return Spectrum(k=dist.k, values=values)
+    k = dist.k
+    for j in dist.counts:
+        if not -k <= j < k:
+            raise CertificationError(f"inner product {j} lies outside [-{k}, {k})")
+    return Spectrum(k=k, values=tuple(Fraction(j, k) for j in sorted(dist.counts)))
 
 
 def moment_sum(dist: PairDistribution, i: int) -> Fraction:
@@ -146,13 +147,8 @@ def moment_sum(dist: PairDistribution, i: int) -> Fraction:
         raise PreconditionError("design strength is defined on the sphere, need n >= 2")
     if i < 1:
         raise PreconditionError("degree must be >= 1")
-    weights = {dist.k: dist.size}  # the diagonal, alpha = 1
-    for alpha, c in dist.counts.items():
-        p, r = divmod(alpha.numerator * dist.k, alpha.denominator)
-        if r:
-            raise PreconditionError(f"inner product {alpha} is not an integer over {dist.k}")
-        weights[p] = weights.get(p, 0) + c
-    return gegenbauer(dist.n, i).sum_at(weights, dist.k)
+    # the diagonal <y,y> = k joins the distinct pairs
+    return gegenbauer(dist.n, i).sum_at({**dist.counts, dist.k: dist.size}, dist.k)
 
 
 def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> DesignReport:

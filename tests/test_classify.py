@@ -1,6 +1,7 @@
 import importlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,19 @@ from shellbound.classify import (
     recognize_e8,
     reflection_closure,
 )
+from shellbound import verify
 from shellbound.design import design_strength, pair_distribution
-from shellbound.lattice import _E8_EDGES, GramLattice, _cartan, builtin, enumerate_shell
+from shellbound.lattice import (
+    _E8_EDGES,
+    GramLattice,
+    _cartan,
+    builtin,
+    enumerate_shell,
+    enumerate_shells,
+    gram_det,
+    hermite_normal_form,
+    span_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +70,37 @@ class TestExceptionalSublattices:
         assert (report.count, report.bound) == self.COUNTS[n][k]
         assert report.case == NONE and not report.equality
         assert report.evidence["exclusion"] == exclusion
+
+
+@pytest.fixture(scope="module")
+def bw16():
+    """The Barnes-Wall lattice BW16: the span of the first-order Reed-Muller
+    codewords RM(1,4) as 0/1 vectors, 2e_i +- 2e_j and 4e_i, under x.y/2."""
+    points = list(product((0, 1), repeat=4))
+    rows = [[(a0 + sum(a * x for a, x in zip(av, p))) % 2 for p in points] for a0 in (0, 1) for av in points]
+    e = [[int(i == j) for j in range(16)] for i in range(16)]
+    for i in range(16):
+        rows.append([4 * x for x in e[i]])
+        for j in range(i):
+            rows.append([2 * a + 2 * b for a, b in zip(e[i], e[j])])
+            rows.append([2 * a - 2 * b for a, b in zip(e[i], e[j])])
+    B = hermite_normal_form(rows)
+    return GramLattice([[sum(x * y for x, y in zip(u, v)) // 2 for v in B] for u in B], name="bw16")
+
+
+class TestBarnesWall16:
+    def test_rank_det_and_first_shells(self, bw16):
+        span = span_of([[int(i == j) for j in range(16)] for i in range(16)], bw16)
+        assert (span.rank, gram_det(span)) == (16, 256)
+        assert {k: len(S) for k, S in enumerate_shells(bw16, 4).items()} == {1: 0, 2: 0, 3: 0, 4: 4320}
+
+    def test_strength_seven_and_no_equality(self, bw16):
+        S = enumerate_shell(bw16, 4)
+        report = design_strength(pair_distribution(S))
+        assert (report.strength, report.capped) == (7, False)
+        eq = classify(S)
+        assert (eq.count, eq.bound, eq.case) == (4320, 341088, NONE)
+        assert eq.evidence["exclusion"] == "strength-table"
 
 
 class TestOrthonormalSystem:
@@ -107,20 +150,27 @@ class TestRecognizeE8:
         with pytest.raises(ValueError):
             recognize_e8(S)
 
+    def test_agrees_with_classify(self, e8_shell):
+        # true on e8; false on the tampered Gram of C12 and on D8, which classify NONE
+        tampered = enumerate_shell(verify._tampered_e8(), 2)
+        for S, expected in [(e8_shell, True), (tampered, False), (enumerate_shell(builtin("dn:8"), 2), False)]:
+            assert recognize_e8(S) is expected
+            assert (classify(S).case == E8) is expected
+
 
 class TestClassify:
     def test_e8_route_computes_span_and_closure_once(self, e8_shell, monkeypatch):
         # the package exports a function named classify, so fetch the module
         mod = importlib.import_module("shellbound.classify")
         calls = []
-        for name in ("span_of", "reflection_closure"):
+        for name in ("span_of", "reflection_closure", "root_filter"):
             def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
         assert classify(e8_shell).case == E8
-        assert sorted(calls) == ["reflection_closure", "span_of"]
+        assert sorted(calls) == ["reflection_closure", "root_filter", "span_of"]
 
     def test_e8(self, e8_shell):
         report = classify(e8_shell)

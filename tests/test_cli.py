@@ -359,6 +359,29 @@ class TestVerifyPaper:
         assert result.stdout == ""
         assert "'E8'" in result.stderr
 
+    @pytest.mark.parametrize(
+        "name, criteria",
+        [("zn:03", "C02,C09"), ("leech", "C08,C10")],
+        ids=["alias-no-criterion-spells", "slow-lattice-without-include-slow"],
+    )
+    def test_override_that_no_criterion_reads_exits_2(self, tmp_path, name, criteria):
+        # zn:03 is a valid alias of zn:3, but the criteria read zn:3; leech is
+        # read only under --include-slow: either override would go unread
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        result = run_cli("verify-paper", "--override", f"{name}=@{path}", "--criteria", criteria, "--quiet")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: no selected criterion reads the overridden lattice {name!r}\n"
+
+    def test_tampered_override_fails_every_criterion_that_reads_it(self, tmp_path):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps({"dim": 8, "gram": verify._tampered_e8().gram}))
+        result = run_cli("verify-paper", "--override", f"e8=@{path}", "--quiet")
+        assert result.returncode == 1, result.stderr
+        rows = parse_report(result.stdout)["result"]["criteria"]
+        assert [e["id"] for e in rows if e["status"] == "fail"] == ["C03", "C09"]
+
     def test_override_without_equality_fails_c09(self, tmp_path):
         # A3 has no norm-1 vectors, so zn:3 misses the bound: a fail row, not an error
         path = tmp_path / "a3.json"

@@ -1,8 +1,13 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from shellbound import verify
 
 from shellbound.design import (
     PairDistribution,
@@ -13,17 +18,36 @@ from shellbound.design import (
     pair_distribution,
     spectrum,
 )
+from shellbound.errors import CertificationError, InvalidGramError
 from shellbound.exactpoly import Poly, gegenbauer, shell_bound
 from shellbound.lattice import (
     GramLattice,
     Shell,
     builtin,
     enumerate_shell,
+    enumerate_shells,
     inner,
     product_dtype,
 )
 
 HALF = Fraction(1, 2)
+
+
+@st.composite
+def _reduced_gram(draw):
+    """A positive definite integral Gram matrix of rank 2-4, pairwise reduced:
+    diagonal entries in 1..4 and |2 g_ij| <= min(g_ii, g_jj)."""
+    n = draw(st.integers(2, 4))
+    diag = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            b = min(diag[i], diag[j]) // 2
+            gram[i][j] = gram[j][i] = draw(st.integers(-b, b))
+    try:
+        return GramLattice(gram)
+    except InvalidGramError:  # reduced but not positive definite
+        reject()
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +59,12 @@ class TestPairDistribution:
     def test_square(self):
         S = enumerate_shell(builtin("zn:2"), 1)
         dist = pair_distribution(S)
-        assert dist.counts == {Fraction(-1): 4, Fraction(0): 8}
+        assert dist.counts == {-1: 4, 0: 8}
         assert (dist.k, dist.n, dist.size) == (1, 2, 4)
 
     def test_e8_known_shell_structure(self, e8_shell):
         dist = pair_distribution(e8_shell)
-        assert dist.counts == {
-            Fraction(-1): 240,
-            -HALF: 240 * 56,
-            Fraction(0): 240 * 126,
-            HALF: 240 * 56,
-        }
+        assert dist.counts == {-2: 240, -1: 240 * 56, 0: 240 * 126, 1: 240 * 56}
 
     def test_total_is_ordered_pairs(self):
         for name, k in (("dn:4", 2), ("an:2", 2), ("zn:3", 2)):
@@ -77,7 +96,9 @@ class TestPairDistribution:
         start = time.perf_counter()
         dist = pair_distribution(S)
         assert time.perf_counter() - start < 1.0
-        assert dist.counts == {Fraction(-1): 4, Fraction(0): 8}
+        assert dist.counts == {-q: 4, 0: 8}
+        # plain ints, never numpy scalars, so the counts serialize as they are
+        assert all(type(x) is int for item in dist.counts.items() for x in item)
 
     def test_empty_shell_rejected(self):
         S = enumerate_shell(builtin("zn:2"), 3)
@@ -101,6 +122,18 @@ class TestPairDistribution:
         with pytest.raises(ValueError):
             pair_distribution(S)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_reduced_gram())
+    def test_kernel_matches_the_reference_tally(self, two_cpu_executors, L):
+        # the kernel's integer keys, with the diagonal <y,y> = k, are the keys
+        # of the Python-int tally that C11 checks the moments against
+        for k, S in enumerate_shells(L, 4).items():
+            if len(S):
+                tally = verify._inner_tally(S)
+                for threads in (1, 2):
+                    dist = pair_distribution(S, threads=threads)
+                    assert Counter(dist.counts) + Counter({k: len(S)}) == tally, (L.gram, k, threads)
+
     def test_matches_naive_count(self):
         S = enumerate_shell(builtin("an:3"), 2)
         L = S.lattice
@@ -110,8 +143,8 @@ class TestPairDistribution:
             for z in V:
                 if y == z:
                     continue
-                u = Fraction(inner(L, y, z), S.k)
-                naive[u] = naive.get(u, 0) + 1
+                j = inner(L, y, z)
+                naive[j] = naive.get(j, 0) + 1
         assert pair_distribution(S).counts == naive
 
 
@@ -127,6 +160,13 @@ class TestSpectrum:
         S = enumerate_shell(builtin("dn:4"), 2)
         vals = spectrum(pair_distribution(S)).values
         assert vals == tuple(sorted(vals))
+
+    @pytest.mark.parametrize("j", [-3, 2])
+    def test_rejects_inner_product_outside_the_norm_range(self, j):
+        # between distinct norm-2 vectors <y,z> lies in [-2, 2)
+        dist = PairDistribution(k=2, n=2, size=2, counts={-2: 2, j: 0})
+        with pytest.raises(CertificationError, match=f"inner product {j} lies outside"):
+            spectrum(dist)
 
 
 class TestMomentSum:
@@ -166,12 +206,6 @@ class TestMomentSum:
             moment_sum(pair_distribution(enumerate_shell(builtin("scaledz:1"), 1)), 2)
         with pytest.raises(ValueError):
             moment_sum(dist, 0)
-
-    def test_rejects_inner_product_off_the_norm_grid(self):
-        # the kernel is summed at the integers alpha * k, so alpha = 1/3 at k = 2 has no place
-        dist = PairDistribution(k=2, n=2, size=2, counts={Fraction(-1): 2, Fraction(1, 3): 0})
-        with pytest.raises(ValueError, match="not an integer over 2"):
-            moment_sum(dist, 1)
 
 
 class TestDesignStrength:
