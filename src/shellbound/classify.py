@@ -46,7 +46,7 @@ CONSEQUENCES = ("spectrum_complete", "strength_at_least_required", "tight", "ann
 
 @dataclass(frozen=True)
 class EqualityReport:
-    n: int
+    dim: int
     k: int
     count: int
     bound: int
@@ -113,7 +113,7 @@ def _certifies_e8(ev: Dict) -> bool:
 
 def _exclusion_evidence(n: int, k: int) -> Dict:
     # name the mechanism that rules equality out, for auditability
-    if k == 1 or (k == 2 and n != 2):
+    if n == 1 or k == 1 or (k == 2 and n != 2):
         return {"exclusion": "count"}
     if n == 2:
         return {"exclusion": "circle", "circle_excluded": circle_exclusion(k)}
@@ -136,24 +136,15 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
     L, k = S.lattice, S.k
     n = L.n
     count, bound = len(S.vectors), shell_bound(n, k)
-    equality = count == bound
-    evidence: Dict = {}
+    if count != bound:
+        return EqualityReport(n, k, count, bound, False, NONE, _exclusion_evidence(n, k))
 
     if n == 1:
         q = L.gram[0][0]
-        if equality:
-            m = math.isqrt(k // q)
-            if q * m * m != k:
-                raise CertificationError(f"rank-1 equality at k={k} is not {q}*{m}^2")
-            case = RANK1
-            evidence = {"scale": q, "m": m}
-        else:
-            case = NONE
-            evidence = {"exclusion": "count"}
-        return EqualityReport(n, k, count, bound, equality, case, evidence)
-
-    if not equality:
-        return EqualityReport(n, k, count, bound, False, NONE, _exclusion_evidence(n, k))
+        m = math.isqrt(k // q)
+        if q * m * m != k:
+            raise CertificationError(f"rank-1 equality at k={k} is not {q}*{m}^2")
+        return EqualityReport(n, k, count, bound, True, RANK1, {"scale": q, "m": m})
 
     dist = pair_distribution(S, threads=threads)
     sp = spectrum(dist)

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -44,11 +45,14 @@ def _rat(x: Fraction) -> str:
 
 
 def _jsonable(obj):
-    """Recursively convert payload values to JSON-safe exact forms."""
+    """Recursively convert payload values to JSON-safe exact forms; a
+    dataclass report becomes the object of its fields."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return _rat(obj)
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {(_rat(k) if isinstance(k, Fraction) else k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,23 +150,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_design(args) -> int:
     from .design import design_strength, pair_distribution
 
-    S = _shell_arg(args)
-    report = design_strength(pair_distribution(S, threads=args.threads), t_max=args.tmax)
-    result = {
-        "strength": report.strength,
-        "tight": report.tight,
-        "capped": report.capped,
-        "fisher_bound": report.fisher,
-        "count": report.size,
-    }
-    _emit("design", {"lattice": args.lattice, "k": args.k, "t_max": args.tmax}, result)
+    report = design_strength(pair_distribution(_shell_arg(args), threads=args.threads), t_max=args.tmax)
+    _emit("design", {"lattice": args.lattice, "k": args.k, "t_max": args.tmax}, report)
     return 0
 
 
 def _cmd_filter(args) -> int:
     if args.n is not None:
-        report = root_filter(args.n, args.k)
-        result = {"passes": report.passes, "evaluations": report.evaluations}
+        result = root_filter(args.n, args.k)
         inputs = {"k": args.k, "n": args.n}
     else:
         result = {"dimensions": filter_search(args.k, args.nmax)}
@@ -174,17 +169,7 @@ def _cmd_filter(args) -> int:
 def _cmd_classify(args) -> int:
     from .classify import classify
 
-    report = classify(_shell_arg(args), threads=args.threads)
-    result = {
-        "dim": report.n,
-        "k": report.k,
-        "count": report.count,
-        "bound": report.bound,
-        "equality": report.equality,
-        "case": report.case,
-        "evidence": report.evidence,
-    }
-    _emit("classify", {"lattice": args.lattice, "k": args.k}, result)
+    _emit("classify", {"lattice": args.lattice, "k": args.k}, classify(_shell_arg(args), threads=args.threads))
     return 0
 
 

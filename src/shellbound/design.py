@@ -54,8 +54,8 @@ class PairDistribution:
 class DesignReport:
     strength: int
     tight: bool
-    fisher: int
-    size: int
+    fisher_bound: int
+    count: int
     capped: bool
 
 
@@ -66,15 +66,12 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     the representative count at j plus twice the count at -j, and the count
     at -k is the shell size (each point meets its antipode once).
 
-    Raises PreconditionError (bad input) when the shell is empty, has an odd
-    number of rows, is not antipodal in canonical order (row N-1-i is minus
-    row i), or has a row whose norm is not k.
+    Raises PreconditionError (bad input) when the shell is empty or has a row
+    whose norm is not k; Shell itself guarantees distinct +-pairs.
     """
     N = len(S.vectors)
     if N == 0:
         raise PreconditionError("pair_distribution needs a nonempty shell")
-    if N % 2 or not np.array_equal(S.vectors[::-1], -S.vectors):
-        raise PreconditionError(f"pair_distribution needs an antipodal shell in canonical order ({N} rows)")
     k = S.k
     gram = S.lattice.gram
     # the upper half of the sorted antipodal rows holds one vector per pair
@@ -172,8 +169,8 @@ def design_strength(dist: PairDistribution, t_max: Optional[int] = None) -> Desi
     return DesignReport(
         strength=strength,
         tight=(dist.size == fisher),
-        fisher=fisher,
-        size=dist.size,
+        fisher_bound=fisher,
+        count=dist.size,
         capped=strength == t_max,
     )
 

@@ -18,8 +18,6 @@ from .errors import CertificationError, PreconditionError
 
 @dataclass(frozen=True)
 class FilterReport:
-    n: int
-    k: int
     passes: bool
     evaluations: Dict[Fraction, Fraction]
 
@@ -52,9 +50,7 @@ def root_filter(n: int, k: int) -> FilterReport:
         raise PreconditionError("root_filter requires norm k >= 1")
     poly = _odd_kernel_sum(n, k)
     evaluations = {Fraction(j, k): poly(Fraction(j, k)) for j in range(k)}
-    return FilterReport(
-        n=n, k=k, passes=all(v == 0 for v in evaluations.values()), evaluations=evaluations
-    )
+    return FilterReport(passes=all(v == 0 for v in evaluations.values()), evaluations=evaluations)
 
 
 def filter_search(k: int, n_max: int = 200) -> List[int]:

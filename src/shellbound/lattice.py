@@ -90,8 +90,11 @@ class GramLattice:
 @dataclass(frozen=True, eq=False)
 class Shell:
     """All lattice vectors of squared norm k: the rows of a read-only int64
-    array (Python ints, object, when a coordinate exceeds int64), sorted
-    lexicographically, so row count-1-i is the negation of row i."""
+    array (Python ints, object, when a coordinate exceeds int64).
+
+    Canonical by construction: the shell keeps its own copy of the rows,
+    sorted lexicographically, and raises PreconditionError unless they are
+    distinct +-pairs, so row count-1-i is the negation of row i."""
 
     k: int
     vectors: np.ndarray
@@ -100,8 +103,14 @@ class Shell:
     def __post_init__(self):
         if not isinstance(self.vectors, np.ndarray) or self.vectors.ndim != 2:
             raise PreconditionError("shell vectors must be a 2-D numpy array")
+        V = sort_rows(self.vectors)  # a fresh array, never the caller's
+        N = len(V)
+        # row N-1-i is minus row i: the reversed upper half cancels the lower half
+        if N % 2 or (V[: N // 2] + V[N // 2 :][::-1]).any() or (V[1:] == V[:-1]).all(axis=1).any():
+            raise PreconditionError(f"shell rows must be distinct +-pairs ({N} rows)")
         # shells are cached and shared, so nobody may write into them
-        self.vectors.flags.writeable = False
+        V.flags.writeable = False
+        object.__setattr__(self, "vectors", V)
 
     def __len__(self):
         return len(self.vectors)
@@ -302,8 +311,8 @@ def worker_count(threads: int) -> int:
 # search is complete in any basis; a pairwise reduction first shortens skewed
 # ones.  Frontiers are whole numpy arrays, searched in chunks above _CHUNK_ROWS
 # rows.  Antipodal halving keeps one vector per +-pair (the highest-index
-# nonzero coordinate is positive); every vector is produced once, so sorting
-# makes the order canonical.
+# nonzero coordinate is positive); every vector is produced once, so the
+# Shell's sort makes the order canonical.
 
 _CHUNK_ROWS = 250_000
 
@@ -424,8 +433,8 @@ def sort_rows(V: np.ndarray) -> np.ndarray:
 def _bucket(L: GramLattice, kmin: int, kmax: int, rows, norms) -> dict:
     """{k: Shell} for kmin <= k <= kmax from distinct rows, their norms all in that range."""
     if kmin == kmax:  # no mask, so no copy of a large single shell
-        return {kmax: Shell(k=kmax, vectors=sort_rows(rows), lattice=L)}
-    return {k: Shell(k=k, vectors=sort_rows(rows[norms == k]), lattice=L) for k in range(kmin, kmax + 1)}
+        return {kmax: Shell(k=kmax, vectors=rows, lattice=L)}
+    return {k: Shell(k=k, vectors=rows[norms == k], lattice=L) for k in range(kmin, kmax + 1)}
 
 
 def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
@@ -445,7 +454,8 @@ def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     if reps.dtype == object and np.abs(reps).max(initial=0) < 2**63:
         # the shell's one dtype rule: int64 while every coordinate fits
         reps = reps.astype(np.int64)
-    return _bucket(L, kmin, kmax, np.concatenate([reps, -reps]), np.concatenate([norms, norms]))
+    reps = np.concatenate([reps, -reps])  # rebound, so the half is freed before Shell sorts and checks
+    return _bucket(L, kmin, kmax, reps, np.concatenate([norms, norms]))
 
 
 def enumerate_shell(L: GramLattice, k: int) -> Shell:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .classify import CONSEQUENCES, E8, NONE, RANK1, ZN, classify
 from .design import design_strength, moment_sum, pair_distribution, spectrum
-from .errors import CertificationError
 from .exactpoly import (
     binom,
     cumulative_gegenbauer,
@@ -258,17 +257,14 @@ _C11_BUILTINS = (
 
 def _inner_tally(S) -> Counter:
     """<y,z> over all N^2 ordered pairs of the shell, diagonal included,
-    tallied by value in Python ints.  Row N-1-i is minus row i (checked, else
-    CertificationError), so the upper half R holds one vector per +-pair and,
+    tallied by value in Python ints.  Row N-1-i is minus row i (as Shell
+    guarantees), so the upper half R holds one vector per +-pair and,
     with H the tally over R x R, the full tally is T(v) = 2 (H(v) + H(-v)).
     The form is symmetric, so H visits each unordered pair once: twice the
     strict triangle plus the diagonal.  G z is formed once per z, so
     each pair costs one n-term dot product; tests pin T to lattice.inner over
     all N^2 pairs."""
-    V = S.vectors
-    if len(V) % 2 or not (V[::-1] == -V).all():
-        raise CertificationError("C11 tally needs shell rows antipodal in canonical order")
-    R = V[len(V) // 2 :].tolist()
+    R = S.vectors[len(S) // 2 :].tolist()
     W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in R]
     upper = Counter(sum(map(int.__mul__, R[j], w)) for i, w in enumerate(W) for j in range(i))
     H = upper + upper + Counter(sum(map(int.__mul__, y, w)) for y, w in zip(R, W))

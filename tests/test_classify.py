@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from shellbound.design import design_strength, pair_distribution
 from shellbound.lattice import (
     _E8_EDGES,
     GramLattice,
+    Shell,
     _cartan,
     builtin,
     enumerate_shell,
@@ -172,6 +174,14 @@ class TestClassify:
         assert classify(e8_shell).case == E8
         assert sorted(calls) == ["reflection_closure", "root_filter", "span_of"]
 
+    def test_unsorted_e8_shell_classifies_e8(self, e8_shell):
+        # antipodal rows out of lexicographic order: the upper half reversed,
+        # with its negation as the lower half; Shell puts them back in order
+        upper = e8_shell.vectors[120:]
+        rows = np.concatenate([-upper, upper[::-1]])
+        assert not np.array_equal(rows, e8_shell.vectors)
+        assert classify(Shell(2, rows, e8_shell.lattice)).case == E8
+
     def test_e8(self, e8_shell):
         report = classify(e8_shell)
         assert report.equality and report.case == E8
@@ -250,7 +260,7 @@ class TestClassify:
         for name in ("zn:4", "an:3", "dn:4", "e8"):
             for k in (3, 4, 5):
                 report = classify(enumerate_shell(builtin(name), k))
-                assert not (report.equality and report.n >= 2 and k >= 3)
+                assert not (report.equality and report.dim >= 2 and k >= 3)
 
 
 _INVARIANCE_LATTICES = (

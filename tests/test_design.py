@@ -106,9 +106,8 @@ class TestPairDistribution:
             pair_distribution(S)
 
     def test_odd_shell_rejected(self):
-        S = Shell(1, np.array([[-1, 0], [0, 1], [1, 0]]), builtin("zn:2"))
         with pytest.raises(ValueError):
-            pair_distribution(S)
+            Shell(1, np.array([[-1, 0], [0, 1], [1, 0]]), builtin("zn:2"))
 
     def test_wrong_norm_rejected(self):
         S = Shell(1, np.array([[-1, -1], [1, 1]]), builtin("zn:2"))
@@ -118,9 +117,8 @@ class TestPairDistribution:
     def test_rows_out_of_antipodal_order_rejected(self):
         # two norm-1 vectors that are not a +-pair: counted as one pair they
         # gave {-1: 2}, strength 1 and tight=True
-        S = Shell(1, np.array([[0, 1], [1, 0]]), builtin("zn:2"))
         with pytest.raises(ValueError):
-            pair_distribution(S)
+            Shell(1, np.array([[0, 1], [1, 0]]), builtin("zn:2"))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_reduced_gram())
@@ -214,8 +212,8 @@ class TestDesignStrength:
         assert report.strength == 7
         assert report.tight
         assert not report.capped
-        assert report.fisher == 240
-        assert report.size == 240
+        assert report.fisher_bound == 240
+        assert report.count == 240
 
     def test_square_is_tight_three(self):
         S = enumerate_shell(builtin("zn:2"), 1)
@@ -235,7 +233,27 @@ class TestDesignStrength:
         report = design_strength(pair_distribution(S))
         assert report.strength == 5
         assert not report.tight
-        assert report.fisher == 20
+        assert report.fisher_bound == 20
+
+    def test_group_bounds(self):
+        # every shell is a t-design below the lowest degree of a harmonic
+        # invariant of the automorphism group; some bounds are exact:
+        # Bannai-Miezaki (Z^2 never a 4-design, A_2 never a 6-design) and
+        # Venkov (E8's norm-2m shell is an 8-design iff tau(m) = 0, and
+        # tau(1), tau(2), tau(3) = 1, -24, 252)
+        exact = {"zn:2": (25, 3), "an:2": (25, 5), "e8": (6, 7)}
+        at_least = {"dn:4": (8, 5), "zn:3": (8, 3), "zn:5": (4, 3), "dn:5": (6, 3),
+                    "dn:8": (4, 3), "an:3": (6, 3), "an:4": (4, 3)}
+        nonempty = {}
+        for name, (kmax, t) in {**exact, **at_least}.items():
+            nonempty[name] = []
+            for k, S in enumerate_shells(builtin(name), kmax).items():
+                if len(S):
+                    nonempty[name].append(k)
+                    strength = design_strength(pair_distribution(S)).strength
+                    assert strength == t if name in exact else strength >= t, (name, k, strength)
+        assert nonempty["an:2"] == [2, 6, 8, 14, 18, 24]
+        assert nonempty["e8"] == [2, 4, 6]
 
     def test_capped_at_t_max(self):
         S = enumerate_shell(builtin("zn:2"), 1)

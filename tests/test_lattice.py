@@ -323,6 +323,27 @@ class TestShellArray:
         with pytest.raises(ValueError, match="2-D"):
             Shell(1, rows, builtin("zn:2"))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-1, 0], [-1, 0], [1, 0], [1, 0]],  # antipodal, but a repeated pair
+            [[-1, 0], [0, 0], [1, 0]],  # odd count: the zero row is its own negation
+        ],
+        ids=["duplicate-rows", "odd-count"],
+    )
+    def test_rows_must_be_distinct_pm_pairs(self, rows):
+        with pytest.raises(ValueError, match="distinct"):
+            Shell(1, np.array(rows), builtin("zn:2"))
+
+    def test_keeps_its_own_sorted_copy(self):
+        rows = np.array([[1, 0], [0, -1], [0, 1], [-1, 0]])
+        S = Shell(1, rows, builtin("zn:2"))
+        assert S.vectors.tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+        assert not S.vectors.flags.writeable
+        # the caller's array is neither reordered nor frozen
+        assert rows.flags.writeable
+        assert rows.tolist() == [[1, 0], [0, -1], [0, 1], [-1, 0]]
+
 
 # every norm up to K: zn/an/dn through rank 6, e8, and rank 1
 _BATCH_CASES = (

@@ -1,5 +1,7 @@
-"""Every short builtin request recorded in perfbench/reference.json prints
-the recorded answer: the same length and SHA-256.  The file is only read."""
+"""Every builtin request recorded in perfbench/reference.json prints the
+recorded answer: the same length and SHA-256.  The six long ones are marked
+slow, so `pytest --runslow tests/test_reference_bytes.py` checks all of them.
+The file is only read."""
 
 import hashlib
 import json
@@ -24,7 +26,9 @@ LONG = {
 RECORDED = json.loads(REFERENCE.read_text(encoding="utf-8"))["requests"]
 
 
-@pytest.mark.parametrize("request_id", sorted(set(RECORDED) - LONG))
+@pytest.mark.parametrize(
+    "request_id", [pytest.param(r, marks=pytest.mark.slow) if r in LONG else r for r in sorted(RECORDED)]
+)
 def test_recorded_bytes(request_id, capsys):
     assert cli.main(request_id.split()) == 0
     out = capsys.readouterr().out.encode()
