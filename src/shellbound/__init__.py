@@ -22,8 +22,8 @@ _HOMES = {
     "errors": ("LatticeError", "InvalidGramError", "LatticeFormatError", "PreconditionError",
                "CertificationError"),
     "lattice": ("GramLattice", "Shell", "builtin", "inner", "enumerate_shell",
-                "enumerate_shells", "shell_count", "brute_force_shell", "brute_force_shells",
-                "hermite_normal_form", "span_of", "gram_det", "is_even",
+                "enumerate_shells", "shell_counts", "shell_count", "brute_force_shell",
+                "brute_force_shells", "hermite_normal_form", "span_of", "gram_det", "is_even",
                 "lattice_from_document", "lattice_to_document"),
     "design": ("Spectrum", "PairDistribution", "DesignReport", "pair_distribution", "spectrum",
                "moment_sum", "design_strength", "annihilator", "annihilator_identity_holds"),

@@ -92,16 +92,22 @@ def _load_lattice(source: str) -> GramLattice:
     return builtin(source)
 
 
-def _shell_arg(args):
-    """The norm-k shell of the request's --lattice, which is also written to
-    --dump when given."""
-    from .lattice import enumerate_shell, lattice_to_document
+def _lattice_arg(args) -> GramLattice:
+    """The request's --lattice, which is also written to --dump when given."""
+    from .lattice import lattice_to_document
 
     L = _load_lattice(args.lattice)
     if args.dump is not None:
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(lattice_to_document(L))
-    return enumerate_shell(L, args.k)
+    return L
+
+
+def _shell_arg(args):
+    """The norm-k shell of the request's --lattice."""
+    from .lattice import enumerate_shell
+
+    return enumerate_shell(_lattice_arg(args), args.k)
 
 
 def _positive_int(text: str) -> int:
@@ -115,10 +121,15 @@ def _positive_int(text: str) -> int:
 # plain subcommands
 
 def _cmd_shell(args) -> int:
-    S = _shell_arg(args)
-    result = {"count": len(S.vectors), "dim": S.lattice.n}
     if args.vectors:
-        result["vectors"] = S.vectors.tolist()
+        S = _shell_arg(args)
+        result = {"count": len(S.vectors), "dim": S.lattice.n, "vectors": S.vectors.tolist()}
+    else:
+        # a count needs no shell: the search's rows are counted and dropped
+        from .lattice import shell_count
+
+        L = _lattice_arg(args)
+        result = {"count": shell_count(L, args.k), "dim": L.n}
     _emit("shell", {"lattice": args.lattice, "k": args.k}, result)
     return 0
 

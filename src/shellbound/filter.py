@@ -8,6 +8,7 @@ filters test that vanishing exactly and solve the small cases in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
@@ -53,14 +54,44 @@ def root_filter(n: int, k: int) -> FilterReport:
     return FilterReport(passes=all(v == 0 for v in evaluations.values()), evaluations=evaluations)
 
 
+def _root_values(k: int, n_max: int):
+    """For n = 2..n_max, the values P(j/k), 0 <= j < k, of the degree m = 2k-1
+    cumulative Gegenbauer sum P in dimension n, as integers: all scaled by
+    one positive factor that depends on k alone.
+
+    Every coefficient of P is a polynomial in n of degree at most m over a
+    denominator that does not depend on n (see exactpoly._kernel_sum), so
+    at fixed j/k so is the value: the seeds n = 2..2k+1, evaluated directly,
+    fix it, and forward differences continue it exactly.  The oddness
+    certificate carries over: an even coefficient that vanishes at the 2k
+    seeds vanishes for every n."""
+    m = 2 * k - 1
+    seeds = [[_odd_kernel_sum(n, k).sum_at({j: 1}, k) for j in range(k)]
+             for n in range(2, min(n_max, m + 2) + 1)]
+    # the seeds' common denominator makes every value an integer
+    scale = math.lcm(*(v.denominator for values in seeds for v in values))
+    seeds = [[int(v * scale) for v in values] for values in seeds]
+    yield from seeds
+    diagonals = []  # per j, the last entry of each row of the seeds' difference table
+    for row in map(list, zip(*seeds)):
+        diagonals.append([])
+        while row:
+            diagonals[-1].append(row[-1])
+            row = [b - a for a, b in zip(row, row[1:])]
+    for _ in range(m + 3, n_max + 1):
+        for d in diagonals:
+            for i in range(m - 1, -1, -1):
+                d[i] += d[i + 1]
+        yield [d[0] for d in diagonals]
+
+
 def filter_search(k: int, n_max: int = 200) -> List[int]:
     """All dimensions n in [2, n_max] passing the root filter for norm k."""
     if k < 1:
         raise PreconditionError("filter_search requires norm k >= 1")
     if n_max < 2:
         raise PreconditionError("filter_search requires n_max >= 2")
-    return [n for n in range(2, n_max + 1)
-            if not any(_odd_kernel_sum(n, k).sum_at({j: 1}, k) for j in range(k))]
+    return [n for n, values in enumerate(_root_values(k, n_max), 2) if not any(values)]
 
 
 def norm2_filter_dimension() -> int:

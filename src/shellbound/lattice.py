@@ -309,12 +309,14 @@ def worker_count(threads: int) -> int:
 # its interval like any other and keeps the norms >= kmin; for kmin == k it
 # solves for norm k, where k D_0 - P is a square.  No bound is rounded, so the
 # search is complete in any basis; a pairwise reduction first shortens skewed
-# ones.  Frontiers are whole numpy arrays, searched in chunks above _CHUNK_ROWS
-# rows.  Antipodal halving keeps one vector per +-pair (the highest-index
-# nonzero coordinate is positive); every vector is produced once, so the
-# Shell's sort makes the order canonical.
+# ones.  Frontiers are numpy arrays of at most _CHUNK_ROWS rows: a parent's
+# children come in pieces of that size, walked depth first, so the search
+# holds at most one frontier and one piece per level and yields its result in
+# chunks.  Antipodal halving keeps one vector per +-pair (the highest-index
+# nonzero coordinate is positive); every vector is produced once, so a count
+# needs no sort and the Shell's sort makes the order canonical.
 
-_CHUNK_ROWS = 250_000
+_CHUNK_ROWS = 4096
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -328,31 +330,34 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _children(coords, zflag, lo, hi, col):
-    """Repeat each frontier row once per integer in [lo, hi] (only >= 0 where
-    zflag is set) and write that integer into column col.  Returns (parent
-    row, value, child row) arrays, or None when every interval is empty."""
-    lo = np.where(zflag, np.maximum(lo, 0), lo)
+def _children(y, P, z, b, lo, hi, t, D):
+    """The child frontiers (y, P, z, t - 1) of level t's frontier y, whose
+    row i takes each integer in [lo_i, hi_i] in column t, in pieces of at
+    most _CHUNK_ROWS rows; b and D as in _search."""
     if max(np.abs(lo).max(), np.abs(hi).max()) >= 2**53:
         # a size guard, which also keeps every coordinate inside int64
         raise PreconditionError("shell coordinates reach 2**53, too large to enumerate")
     cnt = (hi - lo + 1).astype(np.int64)
     np.maximum(cnt, 0, out=cnt)
-    total = int(cnt.sum())
-    if total == 0:
-        return None
-    idx = np.repeat(np.arange(coords.shape[0]), cnt)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    vals = lo[idx] + offs.astype(coords.dtype, copy=False)
-    newc = coords[idx]
-    newc[:, col] = vals
-    return idx, vals, newc
+    end = np.cumsum(cnt)
+    start = end - cnt
+    total = int(end[-1])
+    for s in range(0, total, _CHUNK_ROWS):
+        e = min(s + _CHUNK_ROWS, total)
+        # the rows whose children meet [s, e), each repeated once per child in it
+        r0, r1 = np.searchsorted(end, s, "right"), np.searchsorted(end, e, "left") + 1
+        idx = np.repeat(np.arange(r0, r1), np.minimum(end[r0:r1], e) - np.maximum(start[r0:r1], s))
+        vals = lo[idx] + (np.arange(s, e) - start[idx]).astype(lo.dtype, copy=False)
+        newy = y[idx]
+        newy[:, t] = vals
+        c = D[t + 1] * vals + b[idx]
+        yield newy, (D[t] * P[idx] + c * c) // D[t + 1], z[idx] & (vals == 0), t - 1
 
 
 def _search(gram, kmin: int, k: int, a=None):
-    """(rows, norms): one row per +-pair of the integer vectors y with
-    kmin <= y^T G y <= k, and their norms, in the search's dtype; a is gram's
-    elimination, if known."""
+    """(rows, norms) chunks of at most _CHUNK_ROWS rows: together one row per
+    +-pair of the integer vectors y with kmin <= y^T G y <= k, and their
+    norms, in the search's dtype; a is gram's elimination, if known."""
     a = a or _elimination(gram)
     n = len(a)
     D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
@@ -363,41 +368,38 @@ def _search(gram, kmin: int, k: int, a=None):
     dtype = _int_dtype(max(bmax, max(k * D[t] * D[t + 1] for t in range(n))))
     A = np.array([[a[t][j] if j > t else 0 for j in range(n)] for t in range(n)], dtype=dtype)
 
-    out, norms = [np.empty((0, n), dtype=dtype)], [np.empty(0, dtype=dtype)]  # when nothing is found
-    stack = [(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)]
+    # depth first: one iterator of (y, P, z, t) frontiers per level in progress
+    stack = [iter([(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)])]
     while stack:
-        y, P, z, t = stack.pop()
-        if y.shape[0] > _CHUNK_ROWS:
-            for c in range(0, y.shape[0], _CHUNK_ROWS):
-                stack.append((y[c : c + _CHUNK_ROWS], P[c : c + _CHUNK_ROWS], z[c : c + _CHUNK_ROWS], t))
+        frontier = next(stack[-1], None)
+        if frontier is None:
+            stack.pop()
             continue
+        y, P, z, t = frontier
         b = y @ A[t]
         rhs = D[t] * (k * D[t + 1] - P)
         r = _isqrt(rhs)
         if t == 0 and kmin == k:
             # norm exactly k: D_0 y_0 + b = +-r with r**2 = rhs; the root -r is
             # skipped where it repeats +r and where y_0 must be positive
-            num = np.concatenate([r - b, -r - b])
             hit = r * r == rhs
-            keep = np.concatenate([hit, hit & (r > 0) & ~z]) & (num % D[1] == 0)
-            done = np.concatenate([y, y])[keep]
-            done[:, 0] = num[keep] // D[1]
-            out.append(done)
-            norms.append(np.full(len(done), k, dtype=dtype))
+            for root, keep in ((r, hit), (-r, hit & (r > 0) & ~z)):
+                num = root - b
+                keep = keep & (num % D[1] == 0)
+                if keep.any():
+                    done = y[keep]
+                    done[:, 0] = num[keep] // D[1]
+                    yield done, np.full(len(done), k, dtype=dtype)
             continue
-        ch = _children(y, z, -((r + b) // D[t + 1]), (r - b) // D[t + 1], t)
-        if ch is None:
-            continue
-        idx, vals, newy = ch
-        c = D[t + 1] * vals + b[idx]
-        newP = (D[t] * P[idx] + c * c) // D[t + 1]
+        lo = -((r + b) // D[t + 1])
+        children = _children(y, P, z, b, np.where(z, np.maximum(lo, 0), lo), (r - b) // D[t + 1], t, D)
         if t == 0:
-            keep = newP >= kmin
-            out.append(newy[keep])
-            norms.append(newP[keep])
-            continue
-        stack.append((newy, newP, z[idx] & (vals == 0), t - 1))
-    return np.concatenate(out), np.concatenate(norms)
+            for newy, newP, _, _ in children:
+                keep = newP >= kmin
+                if keep.any():
+                    yield newy[keep], newP[keep]
+        else:
+            stack.append(children)
 
 
 def _pair_reduce(gram):
@@ -437,20 +439,36 @@ def _bucket(L: GramLattice, kmin: int, kmax: int, rows, norms) -> dict:
     return {k: Shell(k=k, vectors=rows[norms == k], lattice=L) for k in range(kmin, kmax + 1)}
 
 
+def _check_norms(kmin, kmax) -> None:
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
+        raise PreconditionError("k must be a positive integer")
+
+
+def _reduced_search(L: GramLattice, kmin: int, kmax: int):
+    """(G, U, chunks): the pairwise reduced Gram matrix G = U^T L.gram U and
+    the search's (rows, norms) chunks in that basis; U is None when L's
+    basis is already reduced."""
+    _check_norms(kmin, kmax)
+    G, U = _pair_reduce(L.gram)
+    if U == _identity(L.n):
+        return G, None, _search(G, kmin, kmax, L.elimination)
+    return G, U, _search(G, kmin, kmax)
+
+
 def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: Shell} of all lattice vectors of squared norm k, for every k from
     kmin to kmax, from one exact search in a pairwise reduced basis."""
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
-        raise PreconditionError("k must be a positive integer")
-    n = L.n
-    G, U = _pair_reduce(L.gram)
-    identity = U == _identity(n)
-    reps, norms = _search(G, kmin, kmax, L.elimination if identity else None)
-    if not identity:
-        # x = U y by the one exact product: x_j = y^T (U^T) e_j
-        reps = gram_products(reps, [list(col) for col in zip(*U)], np.eye(n, dtype=np.int64))
-    if not (gram_products(reps, L.gram) == norms).all():
-        raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+    _, U, chunks = _reduced_search(L, kmin, kmax)
+    reps, norms = [np.empty((0, L.n), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for rows, nrm in chunks:
+        if U is not None:
+            # x = U y by the one exact product: x_j = y^T (U^T) e_j
+            rows = gram_products(rows, [list(col) for col in zip(*U)], np.eye(L.n, dtype=np.int64))
+        if not (gram_products(rows, L.gram) == nrm).all():
+            raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+        reps.append(rows)
+        norms.append(nrm)
+    reps, norms = np.concatenate(reps), np.concatenate(norms)
     if reps.dtype == object and np.abs(reps).max(initial=0) < 2**63:
         # the shell's one dtype rule: int64 while every coordinate fits
         reps = reps.astype(np.int64)
@@ -463,9 +481,24 @@ def enumerate_shell(L: GramLattice, k: int) -> Shell:
     return enumerate_shells(L, k, kmin=k)[k]
 
 
+def shell_counts(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
+    """{k: number of lattice vectors of squared norm k} for kmin <= k <= kmax,
+    from the search of enumerate_shells with no shell built: each chunk is
+    norm-checked exactly in the reduced basis, counted twice (the search
+    emits one vector per +-pair, each once, so nothing is sorted) and
+    dropped."""
+    G, _, chunks = _reduced_search(L, kmin, kmax)
+    tally = np.zeros(kmax - kmin + 1, dtype=np.int64)
+    for rows, norms in chunks:
+        if not (gram_products(rows, G) == norms).all():
+            raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+        tally += np.bincount((norms - kmin).astype(np.intp), minlength=len(tally))
+    return {k: 2 * c for k, c in enumerate(tally.tolist(), kmin)}
+
+
 def shell_count(L: GramLattice, k: int) -> int:
     """Number of lattice vectors of squared norm exactly k."""
-    return len(enumerate_shell(L, k))
+    return shell_counts(L, k, k)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +533,7 @@ def _box_bounds(L: GramLattice, k: int) -> list:
 def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: Shell} for kmin <= k <= kmax by one exhaustive scan of the norm-kmax
     box; exponential in dimension."""
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
-        raise PreconditionError("k must be a positive integer")
+    _check_norms(kmin, kmax)
     n = L.n
     bounds = _box_bounds(L, kmax)
     if product_dtype(max(bounds), L.gram) is not np.float64:

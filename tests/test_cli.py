@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +31,20 @@ def run_cli(*args, check=False):
     if check:
         assert result.returncode == 0, result.stderr
     return result
+
+
+def run_capped(limit_mb, *args):
+    """run_cli in a child whose address space is capped at limit_mb MB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb * 2**20, limit_mb * 2**20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "shellbound", *args],
+        capture_output=True,
+        text=True,
+        timeout=1800,
+        preexec_fn=cap,
+    )
 
 
 def _reject_floats(text):
@@ -206,7 +221,7 @@ class TestErrorExits:
     def _assert_norm_check_fails(monkeypatch, capsys, argv):
         # the row [1, 1] has norm 2 on zn:2, not the k it is reported with
         mod = importlib.import_module("shellbound.lattice")
-        monkeypatch.setattr(mod, "_search", lambda gram, kmin, k, a=None: (np.array([[1, 1]]), np.array([k])))
+        monkeypatch.setattr(mod, "_search", lambda gram, kmin, k, a=None: iter([(np.array([[1, 1]]), np.array([k]))]))
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -235,11 +250,31 @@ class TestErrorExits:
         def exhausted(L, k):
             raise MemoryError(message)
 
-        monkeypatch.setattr(importlib.import_module("shellbound.lattice"), "enumerate_shell", exhausted)
+        monkeypatch.setattr(importlib.import_module("shellbound.lattice"), "shell_count", exhausted)
         assert cli.main(["shell", "--lattice", "leech", "--k", "6"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+
+
+class TestBoundedMemory:
+    """A count keeps one search frontier per level, each of bounded size,
+    whatever the answer and the norm."""
+
+    @pytest.mark.parametrize(
+        "args, limit_mb, count",
+        [
+            # the top level alone has 2**22 + 1 children
+            (("--lattice", "zn:2", "--k", str(2**44)), 256, 4),
+            pytest.param(("--lattice", "zn:2", "--k", str(2**52)), 512, 4, marks=pytest.mark.slow),
+            pytest.param(("--lattice", "leech", "--k", "6"), 2048, 16773120, marks=pytest.mark.slow),
+        ],
+        ids=["zn2-2**44", "zn2-2**52", "leech-6"],
+    )
+    def test_count_fits_the_cap(self, args, limit_mb, count):
+        result = run_capped(limit_mb, "shell", *args)
+        assert result.returncode == 0, result.stderr
+        assert parse_report(result.stdout)["result"]["count"] == count
 
 
 class TestJsonable:
@@ -438,7 +473,8 @@ class TestVerifyPaper:
 
     def test_one_search_and_one_box_scan_per_lattice(self, monkeypatch, capsys):
         # C08 and C11 cover norms 1..6 of each lattice with one tree search
-        # (shared through the cache) and C11 with one oracle box scan
+        # (shared through the cache, or a count for the lattices only C08
+        # reads) and C11 with one oracle box scan
         mod = importlib.import_module("shellbound.lattice")
         searches, scans = Counter(), Counter()
 
@@ -449,6 +485,7 @@ class TestVerifyPaper:
             return wrapper
 
         monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells, searches))
+        monkeypatch.setattr(verify, "shell_counts", counting(verify.shell_counts, searches))
         monkeypatch.setattr(mod, "_box_bounds", counting(mod._box_bounds, scans))
         assert cli.main(["verify-paper", "--criteria", "C08,C11", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
@@ -457,15 +494,18 @@ class TestVerifyPaper:
 
     def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
         # C07 takes the scaled lines from the context's cache, so C08 finds
-        # their norms 1..6 there instead of searching them again
-        original = verify.enumerate_shells
+        # their norms 1..6 there instead of searching them again; a count is
+        # a search too
         searched = Counter()
 
-        def counting(L, kmax, kmin=1):
-            searched.update((L.name, k) for k in range(kmin, kmax + 1))
-            return original(L, kmax, kmin)
+        def counting(original):
+            def wrapper(L, kmax, kmin=1):
+                searched.update((L.name, k) for k in range(kmin, kmax + 1))
+                return original(L, kmax, kmin)
+            return wrapper
 
-        monkeypatch.setattr(verify, "enumerate_shells", counting)
+        monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells))
+        monkeypatch.setattr(verify, "shell_counts", counting(verify.shell_counts))
         assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
         scaled = {(f"scaledz:{q}", k) for q in (1, 2, 4, 9) for k in range(1, 41)}

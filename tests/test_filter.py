@@ -78,6 +78,16 @@ class TestFilterSearch:
     def test_agrees_with_root_filter(self, k):
         assert filter_search(k, 150) == [n for n in range(2, 151) if root_filter(n, k).passes]
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_forward_differences_match_direct_evaluation(self, k):
+        # every value past the 2k seeds, not only the passing set: one
+        # positive scale for all n and j
+        direct = [list(root_filter(n, k).evaluations.values()) for n in range(2, 301)]
+        scaled = list(filter_module._root_values(k, 300))
+        scale = scaled[-1][-1] / direct[-1][-1] if k > 1 else 1
+        assert scale > 0
+        assert scaled == [[v * scale for v in values] for values in direct]
+
 
 class TestClosedFormSolutions:
     def test_norm_two_dimension(self):

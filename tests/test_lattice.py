@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shellbound import lattice as lattice_module
 from shellbound.exactpoly import shell_bound
 from shellbound.lattice import (
     GramLattice,
@@ -27,6 +28,7 @@ from shellbound.lattice import (
     lattice_to_document,
     product_dtype,
     shell_count,
+    shell_counts,
     span_of,
 )
 from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _elimination, _isqrt, _pair_reduce, _search
@@ -223,7 +225,7 @@ class TestEnumerateShell:
         # both the root solve (kmin == k) and the range walk (kmin < k)
         gram = builtin(name).gram
         for kmin in (k, 1):
-            cand, norms = _search(gram, kmin, k)
+            cand, norms = map(np.concatenate, zip(*_search(gram, kmin, k)))
             assert len(np.unique(cand, axis=0)) == len(cand)
             assert len(np.unique(np.concatenate([cand, -cand]), axis=0)) == 2 * len(cand)
             assert norms.tolist() == gram_products(cand, gram).tolist()
@@ -395,11 +397,12 @@ class TestBatchedShells:
         L = builtin("dn:4")
         assert {k: len(S) for k, S in enumerate_shells(L, 6, kmin=3).items()} == {3: 0, 4: 24, 5: 0, 6: 96}
         assert {k: len(S) for k, S in brute_force_shells(L, 6, kmin=3).items()} == {3: 0, 4: 24, 5: 0, 6: 96}
+        assert shell_counts(L, 6, kmin=3) == {3: 0, 4: 24, 5: 0, 6: 96}
 
     @pytest.mark.parametrize("bad", [(0, 1), (3, 0), (2, True), (2.0, 1)])
     def test_rejects_bad_norms(self, bad):
         kmax, kmin = bad
-        for batched in (enumerate_shells, brute_force_shells):
+        for batched in (enumerate_shells, brute_force_shells, shell_counts):
             with pytest.raises(ValueError, match="positive integer"):
                 batched(builtin("zn:2"), kmax, kmin=kmin)
 
@@ -415,6 +418,68 @@ class TestBatchedShells:
             assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
             assert len(S) == len(enumerate_shell(builtin(name), k))
             assert (gram_products(S.vectors, L.gram) == k).all()
+
+
+@st.composite
+def _pair_reduced_gram(draw):
+    """A positive definite Gram matrix of rank 2 to 4 with 2|g_ij| <= g_jj,
+    diagonal at most 4: a basis the search runs in as given."""
+    n = draw(st.integers(2, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = draw(st.integers(1, 4))
+    for i in range(n):
+        for j in range(i):
+            bound = min(gram[i][i], gram[j][j]) // 2
+            gram[i][j] = gram[j][i] = draw(st.integers(-bound, bound))
+    assume(_elimination(gram) is not None)
+    return GramLattice(gram)
+
+
+class TestShellCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(_pair_reduced_gram(), st.integers(1, 8))
+    def test_counts_match_the_shells_in_a_reduced_basis(self, L, K):
+        assert shell_counts(L, K) == {k: len(S) for k, S in enumerate_shells(L, K).items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(_unimodular_rebase(), st.integers(1, 4))
+    def test_counts_match_the_shells_in_a_skewed_basis(self, case, K):
+        name, L = case
+        counts = shell_counts(L, K)
+        assert counts == {k: len(S) for k, S in enumerate_shells(L, K).items()}
+        assert counts == shell_counts(builtin(name), K)
+
+    def test_a_huge_norm_is_counted_in_bounded_memory(self):
+        # one row at the top level has 2**22 + 1 children: they come in pieces
+        tracemalloc.start()
+        try:
+            assert shell_count(builtin("zn:2"), 2**44) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestSearchChunks:
+    @pytest.mark.parametrize("name, K", [("e8", 6), ("an:4", 4)])
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_chunk_boundaries_change_no_byte(self, monkeypatch, name, K, rows):
+        L = builtin(name)
+        whole = enumerate_shells(L, K)
+        single = {k: enumerate_shell(L, k) for k in range(1, K + 1)}
+        monkeypatch.setattr(lattice_module, "_CHUNK_ROWS", rows)
+        for k, S in enumerate_shells(L, K).items():
+            assert S.vectors.tobytes() == whole[k].vectors.tobytes()
+            assert enumerate_shell(L, k).vectors.tobytes() == single[k].vectors.tobytes()
+        assert shell_counts(L, K) == {k: len(S) for k, S in whole.items()}
+
+    @pytest.mark.parametrize("kmin", [1, 6])
+    def test_no_chunk_exceeds_the_limit(self, monkeypatch, kmin):
+        monkeypatch.setattr(lattice_module, "_CHUNK_ROWS", 5)
+        chunks = list(_search(builtin("e8").gram, kmin, 6))
+        assert max(len(rows) for rows, _ in chunks) <= 5
+        assert sum(len(rows) for rows, _ in chunks) == sum(shell_counts(builtin("e8"), 6, kmin).values()) // 2
 
 
 class TestBruteForceOracle:
