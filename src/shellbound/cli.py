@@ -270,8 +270,8 @@ def _add_lattice_args(sub) -> None:
     sub.add_argument("--lattice", required=True,
                      help="builtin name (zn:N, an:N, dn:N, e8, leech, scaledz:Q) or @path to a lattice file")
     sub.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                     help="threads for the pair distribution (spectrum, design, classify), "
-                          "at most the usable CPUs (default: all cores)")
+                     help="threads for the pair distribution (spectrum, design, classify; "
+                          "shell accepts and ignores it), at most the usable CPUs (default: all cores)")
     sub.add_argument("--dump", metavar="PATH", default=None,
                      help="also write the parsed lattice as a document to PATH")
 

@@ -85,7 +85,7 @@ def _root_values(k: int, n_max: int):
         yield [d[0] for d in diagonals]
 
 
-def filter_search(k: int, n_max: int = 200) -> List[int]:
+def filter_search(k: int, n_max: int) -> List[int]:
     """All dimensions n in [2, n_max] passing the root filter for norm k."""
     if k < 1:
         raise PreconditionError("filter_search requires norm k >= 1")

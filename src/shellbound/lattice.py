@@ -93,17 +93,28 @@ class Shell:
     array (Python ints, object, when a coordinate exceeds int64).
 
     Canonical by construction: the shell keeps its own copy of the rows,
-    sorted lexicographically, and raises PreconditionError unless they are
-    distinct +-pairs, so row count-1-i is the negation of row i."""
+    sorted lexicographically, and raises PreconditionError unless k is a
+    positive int, the rows are signed integers (or Python ints in an object
+    array) and they are distinct +-pairs, so row count-1-i is the negation
+    of row i."""
 
     k: int
     vectors: np.ndarray
     lattice: GramLattice
 
     def __post_init__(self):
-        if not isinstance(self.vectors, np.ndarray) or self.vectors.ndim != 2:
+        _check_norms(self.k)
+        V = self.vectors
+        if not isinstance(V, np.ndarray) or V.ndim != 2:
             raise PreconditionError("shell vectors must be a 2-D numpy array")
-        V = sort_rows(self.vectors)  # a fresh array, never the caller's
+        if V.dtype == object and set(map(type, V.ravel())) <= {int}:
+            # the one dtype rule: int64 while every coordinate fits
+            V = V.astype(np.int64) if np.abs(V).max(initial=0) < 2**63 else V
+        elif V.dtype.kind == "i":
+            V = V.astype(np.int64, copy=False)
+        else:
+            raise PreconditionError(f"shell vectors must be integers, not {V.dtype}")
+        V = sort_rows(V)  # a fresh array, never the caller's
         N = len(V)
         # row N-1-i is minus row i: the reversed upper half cancels the lower half
         if N % 2 or (V[: N // 2] + V[N // 2 :][::-1]).any() or (V[1:] == V[:-1]).all(axis=1).any():
@@ -354,12 +365,11 @@ def _children(y, P, z, b, lo, hi, t, D):
         yield newy, (D[t] * P[idx] + c * c) // D[t + 1], z[idx] & (vals == 0), t - 1
 
 
-def _search(gram, kmin: int, k: int, a=None):
+def _search(L: GramLattice, kmin: int, k: int):
     """(rows, norms) chunks of at most _CHUNK_ROWS rows: together one row per
-    +-pair of the integer vectors y with kmin <= y^T G y <= k, and their
-    norms, in the search's dtype; a is gram's elimination, if known."""
-    a = a or _elimination(gram)
-    n = len(a)
+    +-pair of the integer vectors y with kmin <= y^T G y <= k, G = L.gram,
+    and their norms, in the search's dtype."""
+    gram, a, n = L.gram, L.elimination, L.n
     D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
     # Every intermediate is at most k*D_{t-1}*D_t + max|b_t|, and Hadamard's
     # inequality gives |y_j|**2 <= k * (G^-1)_jj <= k * prod(G_ii) / det G.
@@ -402,16 +412,17 @@ def _search(gram, kmin: int, k: int, a=None):
             stack.append(children)
 
 
-def _pair_reduce(gram):
-    """(G', U) with G' = U^T G U, U unimodular, and 2|G'_ij| <= G'_jj: no basis
-    vector gets shorter by subtracting a multiple of another.  Each step
-    b_i -= round(G_ij / G_jj) b_j lowers G_ii, so the loop ends."""
-    G = [list(row) for row in gram]
-    n = len(G)
+def _pair_reduce(L: GramLattice):
+    """(R, U): R = GramLattice(U^T G U) for U unimodular, with 2|R_ij| <= R_jj:
+    no basis vector gets shorter by subtracting a multiple of another; or
+    (L, None) when L's basis already is.  Each step b_i -= round(G_ij / G_jj) b_j
+    lowers G_ii, so the loop ends."""
+    G = [list(row) for row in L.gram]
+    n = L.n
     U = _identity(n)
-    reduced = False
+    passes, reduced = 0, False
     while not reduced:
-        reduced = True
+        passes, reduced = passes + 1, True
         for i, j in itertools.permutations(range(n), 2):
             if 2 * abs(G[i][j]) > G[j][j]:
                 q = (2 * G[i][j] + G[j][j]) // (2 * G[j][j])
@@ -421,7 +432,8 @@ def _pair_reduce(gram):
                 for m in range(n):
                     G[m][i] -= q * G[m][j]
                 reduced = False
-    return G, U
+    # a first pass with no step leaves L as given
+    return (L, None) if passes == 1 else (GramLattice(G), U)
 
 
 def sort_rows(V: np.ndarray) -> np.ndarray:
@@ -432,35 +444,18 @@ def sort_rows(V: np.ndarray) -> np.ndarray:
     return V[np.lexsort(V.T[::-1])]
 
 
-def _bucket(L: GramLattice, kmin: int, kmax: int, rows, norms) -> dict:
-    """{k: Shell} for kmin <= k <= kmax from distinct rows, their norms all in that range."""
-    if kmin == kmax:  # no mask, so no copy of a large single shell
-        return {kmax: Shell(k=kmax, vectors=rows, lattice=L)}
-    return {k: Shell(k=k, vectors=rows[norms == k], lattice=L) for k in range(kmin, kmax + 1)}
-
-
-def _check_norms(kmin, kmax) -> None:
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (kmin, kmax)):
+def _check_norms(*norms) -> None:
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in norms):
         raise PreconditionError("k must be a positive integer")
-
-
-def _reduced_search(L: GramLattice, kmin: int, kmax: int):
-    """(G, U, chunks): the pairwise reduced Gram matrix G = U^T L.gram U and
-    the search's (rows, norms) chunks in that basis; U is None when L's
-    basis is already reduced."""
-    _check_norms(kmin, kmax)
-    G, U = _pair_reduce(L.gram)
-    if U == _identity(L.n):
-        return G, None, _search(G, kmin, kmax, L.elimination)
-    return G, U, _search(G, kmin, kmax)
 
 
 def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: Shell} of all lattice vectors of squared norm k, for every k from
     kmin to kmax, from one exact search in a pairwise reduced basis."""
-    _, U, chunks = _reduced_search(L, kmin, kmax)
+    _check_norms(kmin, kmax)
+    R, U = _pair_reduce(L)
     reps, norms = [np.empty((0, L.n), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for rows, nrm in chunks:
+    for rows, nrm in _search(R, kmin, kmax):
         if U is not None:
             # x = U y by the one exact product: x_j = y^T (U^T) e_j
             rows = gram_products(rows, [list(col) for col in zip(*U)], np.eye(L.n, dtype=np.int64))
@@ -469,11 +464,10 @@ def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
         reps.append(rows)
         norms.append(nrm)
     reps, norms = np.concatenate(reps), np.concatenate(norms)
-    if reps.dtype == object and np.abs(reps).max(initial=0) < 2**63:
-        # the shell's one dtype rule: int64 while every coordinate fits
-        reps = reps.astype(np.int64)
-    reps = np.concatenate([reps, -reps])  # rebound, so the half is freed before Shell sorts and checks
-    return _bucket(L, kmin, kmax, reps, np.concatenate([norms, norms]))
+    if kmin == kmax:  # no mask, so no copy of a large single shell
+        reps = np.concatenate([reps, -reps])  # rebound, so the half is freed before Shell sorts and checks
+        return {kmax: Shell(kmax, reps, L)}
+    return {k: Shell(k, np.concatenate([reps[norms == k], -reps[norms == k]]), L) for k in range(kmin, kmax + 1)}
 
 
 def enumerate_shell(L: GramLattice, k: int) -> Shell:
@@ -487,10 +481,11 @@ def shell_counts(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     norm-checked exactly in the reduced basis, counted twice (the search
     emits one vector per +-pair, each once, so nothing is sorted) and
     dropped."""
-    G, _, chunks = _reduced_search(L, kmin, kmax)
+    _check_norms(kmin, kmax)
+    R, _ = _pair_reduce(L)
     tally = np.zeros(kmax - kmin + 1, dtype=np.int64)
-    for rows, norms in chunks:
-        if not (gram_products(rows, G) == norms).all():
+    for rows, norms in _search(R, kmin, kmax):
+        if not (gram_products(rows, R.gram) == norms).all():
             raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
         tally += np.bincount((norms - kmin).astype(np.intp), minlength=len(tally))
     return {k: 2 * c for k, c in enumerate(tally.tolist(), kmin)}
@@ -573,7 +568,8 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
 
     del grid, tail, tail_norms, w  # free the grid before the hits are sorted
     # the prefixes are distinct, so the hits are distinct
-    return _bucket(L, kmin, kmax, np.concatenate(hits), np.concatenate(norms))
+    hits, norms = np.concatenate(hits), np.concatenate(norms)
+    return {k: Shell(k, hits[norms == k], L) for k in range(kmin, kmax + 1)}
 
 
 def brute_force_shell(L: GramLattice, k: int) -> Shell:
@@ -632,12 +628,12 @@ def span_of(vectors, L: GramLattice) -> SpanBasis:
     """Hermite normal form basis of the integer span of the given vectors,
     together with the Gram matrix of that basis under L's form."""
     vectors = list(vectors)
-    if not vectors:
-        raise PreconditionError("span_of needs at least one vector")
     for v in vectors:
         if len(v) != L.n:
             raise PreconditionError("vector length does not match lattice dimension")
-    basis = hermite_normal_form(vectors)
+    basis = hermite_normal_form(vectors) if vectors else []
+    if not basis:
+        raise PreconditionError("span_of needs a nonzero vector")
     rank = len(basis)
     gb = gram_products(basis, L.gram, basis).tolist()
     return SpanBasis(

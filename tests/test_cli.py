@@ -221,7 +221,7 @@ class TestErrorExits:
     def _assert_norm_check_fails(monkeypatch, capsys, argv):
         # the row [1, 1] has norm 2 on zn:2, not the k it is reported with
         mod = importlib.import_module("shellbound.lattice")
-        monkeypatch.setattr(mod, "_search", lambda gram, kmin, k, a=None: iter([(np.array([[1, 1]]), np.array([k]))]))
+        monkeypatch.setattr(mod, "_search", lambda L, kmin, k: iter([(np.array([[1, 1]]), np.array([k]))]))
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""

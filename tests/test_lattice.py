@@ -223,31 +223,26 @@ class TestEnumerateShell:
     @pytest.mark.parametrize("name, k", [("e8", 2), ("zn:3", 1), ("dn:4", 4), ("an:3", 2)])
     def test_search_emits_each_candidate_once(self, name, k):
         # both the root solve (kmin == k) and the range walk (kmin < k)
-        gram = builtin(name).gram
+        L = builtin(name)
         for kmin in (k, 1):
-            cand, norms = map(np.concatenate, zip(*_search(gram, kmin, k)))
+            cand, norms = map(np.concatenate, zip(*_search(L, kmin, k)))
             assert len(np.unique(cand, axis=0)) == len(cand)
             assert len(np.unique(np.concatenate([cand, -cand]), axis=0)) == 2 * len(cand)
-            assert norms.tolist() == gram_products(cand, gram).tolist()
+            assert norms.tolist() == gram_products(cand, L.gram).tolist()
             assert ((kmin <= norms) & (norms <= k)).all()
 
     @pytest.mark.parametrize("name", ["zn:3", "an:6", "dn:8", "e8", "leech"])
     def test_pair_reduction_keeps_catalog_bases(self, name):
         # catalog shells need no change of basis, so they are never mapped back
-        G, U = _pair_reduce(builtin(name).gram)
-        assert G == [list(row) for row in builtin(name).gram]
-        assert U == [[int(i == j) for j in range(len(G))] for i in range(len(G))]
+        L = builtin(name)
+        R, U = _pair_reduce(L)
+        assert R is L and U is None
 
     @pytest.mark.parametrize("m", [20, 30, 40, 44])
     def test_fibonacci_basis_of_z2(self, m):
-        # Z^2 in the basis (F_{m+1}, F_m), (F_m, F_{m-1}): det 1 with Gram
-        # entries up to 1.8e18, too skewed for any fixed floating-point slack
-        F = [0, 1]
-        while len(F) < m + 2:
-            F.append(F[-1] + F[-2])
-        basis = [(F[m + 1], F[m]), (F[m], F[m - 1])]
-        gram = [[u[0] * v[0] + u[1] * v[1] for v in basis] for u in basis]
-        assert shell_count(GramLattice(gram), 1) == 4
+        # det 1 with Gram entries up to 1.8e18, too skewed for any fixed
+        # floating-point slack
+        assert shell_count(_fibonacci_z2(m), 1) == 4
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=8),
@@ -298,6 +293,15 @@ class TestGramProducts:
         check()
 
 
+def _fibonacci_z2(m):
+    """Z^2 in the basis (F_{m+1}, F_m), (F_m, F_{m-1})."""
+    F = [0, 1]
+    while len(F) < m + 2:
+        F.append(F[-1] + F[-2])
+    basis = [(F[m + 1], F[m]), (F[m], F[m - 1])]
+    return GramLattice([[u[0] * v[0] + u[1] * v[1] for v in basis] for u in basis])
+
+
 _SHELL_CASES = [(name, k) for name in ("zn:2", "an:3", "dn:4", "e8", "scaledz:4") for k in range(1, 5)]
 
 
@@ -337,6 +341,32 @@ class TestShellArray:
         with pytest.raises(ValueError, match="distinct"):
             Shell(1, np.array(rows), builtin("zn:2"))
 
+    @pytest.mark.parametrize("k", [True, 0, 1.0])
+    def test_k_must_be_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            Shell(k, np.array([[-1, 0], [1, 0]]), builtin("zn:2"))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[1.5, 0], [-1.5, 0]]),  # not lattice vectors
+            np.array([[255, 0], [1, 0]], dtype=np.uint8),  # -1 and 1 as uint8
+            np.array([[-1, 0.5], [1, -0.5]], dtype=object),
+        ],
+        ids=["float", "unsigned", "object-float"],
+    )
+    def test_rows_must_be_signed_integers(self, rows):
+        with pytest.raises(ValueError, match="integers"):
+            Shell(1, rows, builtin("zn:2"))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, object])
+    def test_stores_int64_while_every_coordinate_fits(self, dtype):
+        S = Shell(1, np.array([[1, 0], [-1, 0]], dtype=dtype), builtin("zn:2"))
+        assert S.vectors.dtype == np.int64
+        assert S.vectors.tolist() == [[-1, 0], [1, 0]]
+        big = np.array([[2**63, 0], [-(2**63), 0]], dtype=object)
+        assert Shell(2**126, big, builtin("zn:2")).vectors.dtype == object
+
     def test_keeps_its_own_sorted_copy(self):
         rows = np.array([[1, 0], [0, -1], [0, 1], [-1, 0]])
         S = Shell(1, rows, builtin("zn:2"))
@@ -370,6 +400,37 @@ def _unimodular_rebase(draw):
     gram = [[sum(B[a][p] * G[a][b] * B[b][q] for a in range(n) for b in range(n))
              for q in range(n)] for p in range(n)]
     return name, GramLattice(gram)
+
+
+class TestPairReduction:
+    """_pair_reduce(L) returns (R, U) with R.gram = U^T G U exactly, det U = +-1
+    and 2|R_ij| <= R_jj, or (L, None) when L's basis is already reduced."""
+
+    @staticmethod
+    def _assert_contract(L):
+        R, U = _pair_reduce(L)
+        if U is None:
+            assert R is L
+            U = [[int(i == j) for j in range(L.n)] for i in range(L.n)]
+        n, G = L.n, L.gram
+        assert R.gram == tuple(
+            tuple(sum(U[a][p] * G[a][b] * U[b][q] for a in range(n) for b in range(n)) for q in range(n))
+            for p in range(n)
+        )
+        # det(U^T U) = det(U)**2, exact through the fraction-free elimination
+        UtU = [[sum(U[a][p] * U[a][q] for a in range(n)) for q in range(n)] for p in range(n)]
+        assert _elimination(UtU)[-1][-1] == 1
+        assert all(2 * abs(R.gram[i][j]) <= R.gram[j][j] for i in range(n) for j in range(n) if i != j)
+        return R
+
+    @pytest.mark.parametrize("m", [20, 30, 40, 44])
+    def test_fibonacci_bases(self, m):
+        assert self._assert_contract(_fibonacci_z2(m)).gram == ((1, 0), (0, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_unimodular_rebase())
+    def test_rebased_bases(self, case):
+        self._assert_contract(case[1])
 
 
 class TestBatchedShells:
@@ -409,10 +470,10 @@ class TestBatchedShells:
     @settings(max_examples=40, deadline=None)
     @given(_unimodular_rebase())
     def test_rebased_basis_maps_every_shell_back(self, case):
-        # U != identity: the search runs on G' = U^T G U with G' eliminated anew
+        # U is not None: the search runs on R = U^T G U, a lattice eliminated anew
         name, L = case
         # operations that cancel can leave a basis the reduction keeps as is
-        assume(_pair_reduce(L.gram)[1] != [[int(i == j) for j in range(L.n)] for i in range(L.n)])
+        assume(_pair_reduce(L)[1] is not None)
         shells = enumerate_shells(L, 4)
         for k, S in shells.items():
             assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
@@ -477,7 +538,7 @@ class TestSearchChunks:
     @pytest.mark.parametrize("kmin", [1, 6])
     def test_no_chunk_exceeds_the_limit(self, monkeypatch, kmin):
         monkeypatch.setattr(lattice_module, "_CHUNK_ROWS", 5)
-        chunks = list(_search(builtin("e8").gram, kmin, 6))
+        chunks = list(_search(builtin("e8"), kmin, 6))
         assert max(len(rows) for rows, _ in chunks) <= 5
         assert sum(len(rows) for rows, _ in chunks) == sum(shell_counts(builtin("e8"), 6, kmin).values()) // 2
 
@@ -605,6 +666,10 @@ class TestSpan:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             span_of([], builtin("zn:2"))
+
+    def test_rejects_a_span_of_zero(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            span_of([[0, 0], [0, 0]], builtin("zn:2"))
 
     def test_entries_beyond_int64(self):
         B = span_of([(2**70, 0), (0, 3)], builtin("zn:2"))
