@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -95,8 +96,8 @@ class Shell:
     Canonical by construction: the shell keeps its own copy of the rows,
     sorted lexicographically, and raises PreconditionError unless k is a
     positive int, the rows are signed integers (or Python ints in an object
-    array) and they are distinct +-pairs, so row count-1-i is the negation
-    of row i."""
+    array) with one column per basis vector of the lattice, and they are
+    distinct +-pairs, so row count-1-i is the negation of row i."""
 
     k: int
     vectors: np.ndarray
@@ -105,8 +106,8 @@ class Shell:
     def __post_init__(self):
         _check_norms(self.k)
         V = self.vectors
-        if not isinstance(V, np.ndarray) or V.ndim != 2:
-            raise PreconditionError("shell vectors must be a 2-D numpy array")
+        if not isinstance(V, np.ndarray) or V.ndim != 2 or V.shape[1] != self.lattice.n:
+            raise PreconditionError(f"shell vectors must be a 2-D numpy array of {self.lattice.n} columns")
         if V.dtype == object and set(map(type, V.ravel())) <= {int}:
             # the one dtype rule: int64 while every coordinate fits
             V = V.astype(np.int64) if np.abs(V).max(initial=0) < 2**63 else V
@@ -241,10 +242,20 @@ def builtin(name: str) -> GramLattice:
 # ---------------------------------------------------------------------------
 # inner products: the scalar reference and the one exact batched product
 
+def _integers(row) -> list:
+    """row as a list of Python ints: operator.index takes Python and numpy
+    integers and refuses what int() would truncate (1.5, np.float64(2.0))."""
+    try:
+        return [operator.index(x) for x in row]
+    except TypeError:
+        raise PreconditionError("vector entries must be integers") from None
+
+
 def inner(L: GramLattice, v: Sequence[int], w: Sequence[int]) -> int:
     """Exact inner product v^T G w in the lattice's bilinear form."""
     if len(v) != L.n or len(w) != L.n:
         raise PreconditionError("vector length does not match lattice dimension")
+    v, w = _integers(v), _integers(w)
     g = L.gram
     total = 0
     for i, vi in enumerate(v):
@@ -504,13 +515,11 @@ def shell_count(L: GramLattice, k: int) -> int:
 # in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the norm-kmax box holds
 # every vector of norm <= kmax, and one scan buckets its hits by exact norm.
 # The scan fixes a prefix p of leading coordinates (at least one from rank 2
-# up) so that the grid of tails t has at most _ORACLE_BLOCK_ROWS rows, builds
-# that grid once and forms q_t = t^T G_tt t once, column by column, and keeps
-# the tails with kmin <= p^T G_pp p + q_t + t . (2 G_tp p) <= kmax, all in
-# int64; only hits become full rows.  Shares only the exact elimination with
-# the search above; intended for cross-checking it on small dimensions.
-
-_ORACLE_BLOCK_ROWS = 250_000
+# up) so that the grid of tails t has at most _CHUNK_ROWS rows, builds that
+# grid once and forms q_t = t^T G_tt t once, column by column, and keeps the
+# tails with kmin <= p^T G_pp p + q_t + t . (2 G_tp p) <= kmax, all in int64;
+# only hits become full rows.  Shares only the exact elimination (and the row
+# bound) with the search above; intended for cross-checking it when n is small.
 
 
 def _box_bounds(L: GramLattice, k: int) -> list:
@@ -538,7 +547,7 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 
     lead = min(1, n - 1)
-    while math.prod(len(r) for r in ranges[lead:]) > _ORACLE_BLOCK_ROWS and lead < n - 1:
+    while math.prod(len(r) for r in ranges[lead:]) > _CHUNK_ROWS and lead < n - 1:
         lead += 1
 
     sizes = [len(r) for r in ranges[lead:]]
@@ -566,7 +575,6 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
         hits.append(np.hstack([np.broadcast_to(p, (len(hit), lead)), hit]))
         norms.append(w[keep])
 
-    del grid, tail, tail_norms, w  # free the grid before the hits are sorted
     # the prefixes are distinct, so the hits are distinct
     hits, norms = np.concatenate(hits), np.concatenate(norms)
     return {k: Shell(k, hits[norms == k], L) for k in range(kmin, kmax + 1)}
@@ -586,7 +594,7 @@ def hermite_normal_form(rows) -> list:
     Returns the nonzero rows: pivots positive, entries above each pivot reduced
     into [0, pivot).
     """
-    H = [list(int(x) for x in r) for r in rows]
+    H = [_integers(r) for r in rows]
     if not H:
         raise PreconditionError("hermite_normal_form needs at least one row")
     m = len(H)

@@ -263,17 +263,14 @@ _C11_BUILTINS = (
 
 def _inner_tally(S) -> Counter:
     """<y,z> over all N^2 ordered pairs of the shell, diagonal included,
-    tallied by value in Python ints.  Row N-1-i is minus row i (as Shell
-    guarantees), so the upper half R holds one vector per +-pair and,
-    with H the tally over R x R, the full tally is T(v) = 2 (H(v) + H(-v)).
-    The form is symmetric, so H visits each unordered pair once: twice the
-    strict triangle plus the diagonal.  G z is formed once per z, so
-    each pair costs one n-term dot product; tests pin T to lattice.inner over
-    all N^2 pairs."""
-    R = S.vectors[len(S) // 2 :].tolist()
-    W = [[sum(map(int.__mul__, row, z)) for row in S.lattice.gram] for z in R]
-    upper = Counter(sum(map(int.__mul__, R[j], w)) for i, w in enumerate(W) for j in range(i))
-    H = upper + upper + Counter(sum(map(int.__mul__, y, w)) for y, w in zip(R, W))
+    tallied by value.  Row N-1-i is minus row i (as Shell guarantees), so the
+    upper half R holds one vector per +-pair and, with H the tally over
+    R x R, the full tally is T(v) = 2 (H(v) + H(-v)).  H is one product of
+    object arrays, so every entry is an exact Python int at any magnitude;
+    it shares neither product_dtype nor BLAS with the pair kernel it checks.
+    Tests pin T to lattice.inner over all N^2 pairs."""
+    R = S.vectors[len(S) // 2 :].astype(object)
+    H = Counter((R @ (np.array(S.lattice.gram, dtype=object) @ R.T)).ravel().tolist())
     return Counter({v: 2 * (H[v] + H[-v]) for v in H.keys() | {-v for v in H}})
 
 

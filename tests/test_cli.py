@@ -534,6 +534,19 @@ def test_c11_tally_matches_scalar_inner():
     assert checked == 47
 
 
+def test_c11_tally_is_exact_beyond_int64():
+    # norm 2**140 + 9 vectors of zn:2 (object rows): inner products such as
+    # 2**140 - 9 exceed int64, and the tally keeps each one exact
+    L = builtin("zn:2")
+    half = [[2**70, 3], [3, 2**70], [2**70, -3], [-3, 2**70]]
+    S = Shell(2**140 + 9, np.array(half + [[-x for x in v] for v in half], dtype=object), L)
+    assert S.vectors.dtype == object
+    V = S.vectors.tolist()
+    tally = verify._inner_tally(S)
+    assert tally == Counter(inner(L, y, z) for y in V for z in V)
+    assert tally[2**140 - 9] == 8 and sum(tally.values()) == 64
+
+
 def test_c11_tally_rejects_rows_out_of_antipodal_order():
     L = builtin("zn:2")
     # not a +-pair; and an odd shell whose reversal is its negation: the

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shellbound import lattice as lattice_module
+from shellbound.errors import PreconditionError
 from shellbound.exactpoly import shell_bound
 from shellbound.lattice import (
     GramLattice,
@@ -31,7 +32,7 @@ from shellbound.lattice import (
     shell_counts,
     span_of,
 )
-from shellbound.lattice import _ORACLE_BLOCK_ROWS, _box_bounds, _elimination, _isqrt, _pair_reduce, _search
+from shellbound.lattice import _CHUNK_ROWS, _box_bounds, _elimination, _isqrt, _pair_reduce, _search
 from shellbound.verify import _C11_BUILTINS
 
 
@@ -135,6 +136,19 @@ class TestInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner(builtin("zn:2"), (1, 0, 0), (0, 1))
+
+    @pytest.mark.parametrize("x", [1.5, np.float64(2.0)])
+    def test_rejects_non_integer_entries(self, x):
+        # int() would truncate them: 1.5 gave the inner product 1.5
+        with pytest.raises(PreconditionError, match="integers"):
+            inner(builtin("zn:2"), [x, 0], [1, 0])
+        with pytest.raises(PreconditionError, match="integers"):
+            inner(builtin("zn:2"), [1, 0], [x, 0])
+
+    def test_numpy_integer_rows(self):
+        v = np.array([2, 3], dtype=np.int64)
+        assert inner(builtin("an:2"), v, v) == 14
+        assert type(inner(builtin("an:2"), v, v)) is int
 
 
 class TestEnumerateShell:
@@ -323,10 +337,18 @@ class TestShellArray:
         assert V.dtype == (object if k >= 2**126 else np.int64)
 
     @pytest.mark.parametrize(
-        "rows", [[[0, 1], [1, 0]], np.array([0, 1]), np.zeros((1, 1, 2), dtype=np.int64)]
+        "rows",
+        [
+            [[0, 1], [1, 0]],
+            np.array([0, 1]),
+            np.zeros((1, 1, 2), dtype=np.int64),
+            # rows of width 3 on rank 2 (classify reported them as dim=2, NONE), and of width 1
+            np.array([[1, 0, 0], [-1, 0, 0]]),
+            np.array([[1], [-1]]),
+        ],
     )
     def test_rows_must_be_a_2d_array(self, rows):
-        with pytest.raises(ValueError, match="2-D"):
+        with pytest.raises(PreconditionError, match="2-D numpy array of 2 columns"):
             Shell(1, rows, builtin("zn:2"))
 
     @pytest.mark.parametrize(
@@ -550,13 +572,15 @@ class TestBruteForceOracle:
         L = builtin(name)
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
 
-    @pytest.mark.parametrize("name, k, lead", [("zn:6", 25, 1), ("zn:6", 36, 2), ("scaledz:2", 8, 0)])
+    @pytest.mark.parametrize(
+        "name, k, lead", [("scaledz:2", 8, 0), ("zn:6", 4, 1), ("zn:6", 9, 2), ("zn:6", 25, 3)]
+    )
     def test_agreement_in_slices(self, name, k, lead):
-        # lead: the coordinates the scan must fix so the rest fits a block
+        # lead: the coordinates the scan must fix so the rest fits a chunk
         L = builtin(name)
         sizes = [2 * b + 1 for b in _box_bounds(L, k)]
-        assert math.prod(sizes[lead:]) <= _ORACLE_BLOCK_ROWS
-        assert lead == 0 or math.prod(sizes[lead - 1 :]) > _ORACLE_BLOCK_ROWS
+        assert math.prod(sizes[lead:]) <= _CHUNK_ROWS
+        assert lead == 0 or math.prod(sizes[lead - 1 :]) > _CHUNK_ROWS
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
 
     @pytest.mark.parametrize("name", _C11_BUILTINS)
@@ -591,9 +615,21 @@ class TestBruteForceOracle:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_scan_holds_one_chunk_of_tails(self):
+        # dn:6 up to k=6: the tail grid has at most _CHUNK_ROWS rows, far
+        # fewer than the 139k-row box, so the hits of norms 1..6 set the peak
+        tracemalloc.start()
+        try:
+            brute_force_shells(builtin("dn:6"), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
     def test_tail_grid_is_built_once(self):
-        # zn:6 at k=25: the 161051 x 5 int64 tail grid is 6.1 MB; no meshgrid,
-        # stacked copy or grid-sized product may sit beside it
+        # zn:6 at k=25: the 1331 x 3 int64 tail grid is 31 KB, and the 7812
+        # hits set the peak; no meshgrid, stacked copy or grid-sized product
+        # may sit beside the grid
         tracemalloc.start()
         try:
             brute_force_shell(builtin("zn:6"), 25)
@@ -634,6 +670,12 @@ class TestHermiteNormalForm:
         with pytest.raises(ValueError):
             hermite_normal_form([])
 
+    @pytest.mark.parametrize("x", [1.5, np.float64(2.0)])
+    def test_rejects_non_integer_entries(self, x):
+        # int() would truncate them: [[1.5, 0]] gave [[1, 0]]
+        with pytest.raises(PreconditionError, match="integers"):
+            hermite_normal_form([[x, 0], [0, 1]])
+
 
 class TestSpan:
     def test_cubic_norm_one_span(self):
@@ -670,6 +712,12 @@ class TestSpan:
     def test_rejects_a_span_of_zero(self):
         with pytest.raises(ValueError, match="nonzero"):
             span_of([[0, 0], [0, 0]], builtin("zn:2"))
+
+    @pytest.mark.parametrize("x", [1.5, np.float64(2.0)])
+    def test_rejects_non_integer_entries(self, x):
+        # 1.5 was truncated: rank 1 with basis ((1, 0),)
+        with pytest.raises(PreconditionError, match="integers"):
+            span_of([[x, 0]], builtin("zn:2"))
 
     def test_entries_beyond_int64(self):
         B = span_of([(2**70, 0), (0, 3)], builtin("zn:2"))
