@@ -6,8 +6,7 @@ unimodular root lattice at norm 2)."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ NONE = "NONE"
 CONSEQUENCES = ("spectrum_complete", "strength_at_least_required", "tight", "annihilator_identity")
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     dim: int
     k: int
     count: int
@@ -118,7 +116,7 @@ def _exclusion_evidence(n: int, k: int) -> Dict:
     if n == 2:
         return {"exclusion": "circle", "circle_excluded": circle_exclusion(k)}
     if k == 3:
-        return {"exclusion": "norm3-filter", **asdict(norm3_filter_contradiction())}
+        return {"exclusion": "norm3-filter", **norm3_filter_contradiction()._asdict()}
     return {
         "exclusion": "strength-table",
         "required_strength": 4 * k - 1,

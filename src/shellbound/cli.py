@@ -22,15 +22,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-# lattice, design, classify and verify load numpy: imported where used, so bound and filter run without it
+# the command modules are imported where used: bound compiles no filter, and bound and filter load no numpy
 from ._version import __version__
 from .errors import CertificationError, InvalidGramError, LatticeFormatError, PreconditionError
 from .exactpoly import shell_bound
-from .filter import filter_search, root_filter
 
 if TYPE_CHECKING:
     from .lattice import GramLattice
@@ -46,13 +44,13 @@ def _rat(x: Fraction) -> str:
 
 def _jsonable(obj):
     """Recursively convert payload values to JSON-safe exact forms; a
-    dataclass report becomes the object of its fields."""
+    report (a named tuple) becomes the object of its fields."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return _rat(obj)
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if hasattr(obj, "_fields"):  # before the tuple branch: a report is a tuple
+        return {name: _jsonable(value) for name, value in zip(obj._fields, obj)}
     if isinstance(obj, dict):
         return {(_rat(k) if isinstance(k, Fraction) else k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -167,6 +165,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from .filter import filter_search, root_filter
+
     if args.n is not None:
         result = root_filter(args.n, args.k)
         inputs = {"k": args.k, "n": args.n}

@@ -9,9 +9,8 @@ proves exact (float64, int64 or Python ints), as lattice.gram_products does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,16 +29,14 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Sorted set of normalized inner products over distinct shell points."""
 
     k: int
     values: tuple
 
 
-@dataclass(frozen=True)
-class PairDistribution:
+class PairDistribution(NamedTuple):
     """Counts of ordered distinct pairs of the norm-k shell of a rank-n
     lattice, keyed by the integer inner product <y,z> in [-k, k): the
     normalized inner product is <y,z>/k, and -k is the antipode."""
@@ -50,8 +47,7 @@ class PairDistribution:
     counts: Dict[int, int]
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     strength: int
     tight: bool
     fisher_bound: int

@@ -9,22 +9,19 @@ filters test that vanishing exactly and solve the small cases in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .exactpoly import cumulative_gegenbauer
 from .errors import CertificationError, PreconditionError
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     passes: bool
     evaluations: Dict[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Norm3Contradiction:
+class Norm3Contradiction(NamedTuple):
     n_from_sum: int
     product_required: Fraction
     product_actual: Fraction

@@ -16,8 +16,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class GramLattice:
         return f"GramLattice({label}, n={self.n})"
 
 
-@dataclass(frozen=True, eq=False)
 class Shell:
     """All lattice vectors of squared norm k: the rows of a read-only int64
     array (Python ints, object, when a coordinate exceeds int64).
@@ -97,17 +95,16 @@ class Shell:
     sorted lexicographically, and raises PreconditionError unless k is a
     positive int, the rows are signed integers (or Python ints in an object
     array) with one column per basis vector of the lattice, and they are
-    distinct +-pairs, so row count-1-i is the negation of row i."""
+    distinct +-pairs, so row count-1-i is the negation of row i.  Its
+    attributes cannot be rebound, and shells compare by identity."""
 
-    k: int
-    vectors: np.ndarray
-    lattice: GramLattice
+    __slots__ = ("k", "vectors", "lattice")
 
-    def __post_init__(self):
-        _check_norms(self.k)
-        V = self.vectors
-        if not isinstance(V, np.ndarray) or V.ndim != 2 or V.shape[1] != self.lattice.n:
-            raise PreconditionError(f"shell vectors must be a 2-D numpy array of {self.lattice.n} columns")
+    def __init__(self, k: int, vectors: np.ndarray, lattice: GramLattice):
+        _check_norms(k)
+        V = vectors
+        if not isinstance(V, np.ndarray) or V.ndim != 2 or V.shape[1] != lattice.n:
+            raise PreconditionError(f"shell vectors must be a 2-D numpy array of {lattice.n} columns")
         if V.dtype == object and set(map(type, V.ravel())) <= {int}:
             # the one dtype rule: int64 while every coordinate fits
             V = V.astype(np.int64) if np.abs(V).max(initial=0) < 2**63 else V
@@ -122,14 +119,23 @@ class Shell:
             raise PreconditionError(f"shell rows must be distinct +-pairs ({N} rows)")
         # shells are cached and shared, so nobody may write into them
         V.flags.writeable = False
-        object.__setattr__(self, "vectors", V)
+        for name, value in (("k", k), ("vectors", V), ("lattice", lattice)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set Shell.{name}: a shell is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Shell.{name}: a shell is read-only")
+
+    def __reduce__(self):  # copies and pickles rebuild through the checks
+        return Shell, (self.k, self.vectors, self.lattice)
 
     def __len__(self):
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class SpanBasis:
+class SpanBasis(NamedTuple):
     """Hermite normal form basis of an integer span, with its Gram matrix."""
 
     rank: int
@@ -170,33 +176,34 @@ _E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
 # Even unimodular rank-24 Gram with minimal norm 4, derived offline from the
 # binary Golay code construction and basis-reduced so every basis vector is
 # minimal.  Tests assert every required property instead of trusting this
-# constant.
-_LEECH_GRAM = (
-    (4, -2, -1, -2, -1, -2, -2, -2, -1, -2, -2, -2, 0, -2, -2, -2, 1, -2, -2, -2, 1, -2, -1, 0),
-    (-2, 4, -1, 1, -1, 2, 2, 0, -1, 0, 1, 2, -1, 2, 0, 2, -2, 2, 0, 2, -2, 2, -1, 1),
-    (-1, -1, 4, -1, 2, 0, 0, 1, 2, 0, -1, 1, -1, 1, 0, -1, -1, -1, 1, 0, -1, 1, 0, -2),
-    (-2, 1, -1, 4, -1, 2, 1, 0, -1, 2, 2, 1, 0, 1, 1, 2, 0, 1, 2, 2, 0, 1, 0, 1),
-    (-1, -1, 2, -1, 4, -1, 1, 1, 2, 0, -1, 1, 1, -1, 1, -1, 1, 0, 1, -1, -1, 0, 2, -2),
-    (-2, 2, 0, 2, -1, 4, 2, 1, -1, 2, 2, 1, 0, 1, 0, 1, -2, 2, 0, 1, 0, 2, 0, 0),
-    (-2, 2, 0, 1, 1, 2, 4, 0, -1, 1, 1, 1, 1, 1, 1, 0, -1, 1, 1, 0, -1, 1, 1, -1),
-    (-2, 0, 1, 0, 1, 1, 0, 4, 1, 1, 2, 1, 1, 0, 2, 0, 0, 1, 0, 1, 1, 0, 2, -1),
-    (-1, -1, 2, -1, 2, -1, -1, 1, 4, 1, -1, 0, -1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0),
-    (-2, 0, 0, 2, 0, 2, 1, 1, 1, 4, 2, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1),
-    (-2, 1, -1, 2, -1, 2, 1, 2, -1, 2, 4, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0),
-    (-2, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 4, -1, 1, 0, 1, -1, 1, 1, 2, -2, 2, 0, 0),
-    (0, -1, -1, 0, 1, 0, 1, 1, -1, 1, 1, -1, 4, -2, 1, -1, 1, 0, 0, -2, 1, -1, 2, -1),
-    (-2, 2, 1, 1, -1, 1, 1, 0, 0, 0, 1, 1, -2, 4, 0, 1, -2, 0, 1, 2, -1, 1, -1, 0),
-    (-2, 0, 0, 1, 1, 0, 1, 2, 1, 1, 1, 0, 1, 0, 4, 1, 1, 1, 1, 1, 1, 0, 2, 0),
-    (-2, 2, -1, 2, -1, 1, 0, 0, 0, 1, 1, 1, -1, 1, 1, 4, -1, 2, 1, 2, -1, 2, -1, 2),
-    (1, -2, -1, 0, 1, -2, -1, 0, 1, 0, 0, -1, 1, -2, 1, -1, 4, -1, 0, -1, 1, -2, 2, 0),
-    (-2, 2, -1, 1, 0, 2, 1, 1, 0, 1, 1, 1, 0, 0, 1, 2, -1, 4, 0, 1, 0, 2, 0, 1),
-    (-2, 0, 1, 2, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 4, 1, -1, 1, 0, 0),
-    (-2, 2, 0, 2, -1, 1, 0, 1, 0, 0, 1, 2, -2, 2, 1, 2, -1, 1, 1, 4, -1, 1, -1, 1),
-    (1, -2, -1, 0, -1, 0, -1, 1, 0, 1, 1, -2, 1, -1, 1, -1, 1, 0, -1, -1, 4, -2, 1, 0),
-    (-2, 2, 1, 1, 0, 2, 1, 0, 0, 1, 0, 2, -1, 1, 0, 2, -2, 2, 1, 1, -2, 4, -1, 1),
-    (-1, -1, 0, 0, 2, 0, 1, 2, 1, 1, 1, 0, 2, -1, 2, -1, 2, 0, 0, -1, 1, -1, 4, -1),
-    (0, 1, -2, 1, -2, 0, -1, -1, 0, 1, 0, 0, -1, 0, 0, 2, 0, 1, 0, 1, 0, 1, -1, 4),
-)
+# constant.  One string of 24 rows, parsed on lookup, compiles faster than
+# a 576-int literal, which every numpy-backed request would pay for.
+_LEECH_GRAM = """
+ 4 -2 -1 -2 -1 -2 -2 -2 -1 -2 -2 -2  0 -2 -2 -2  1 -2 -2 -2  1 -2 -1  0
+-2  4 -1  1 -1  2  2  0 -1  0  1  2 -1  2  0  2 -2  2  0  2 -2  2 -1  1
+-1 -1  4 -1  2  0  0  1  2  0 -1  1 -1  1  0 -1 -1 -1  1  0 -1  1  0 -2
+-2  1 -1  4 -1  2  1  0 -1  2  2  1  0  1  1  2  0  1  2  2  0  1  0  1
+-1 -1  2 -1  4 -1  1  1  2  0 -1  1  1 -1  1 -1  1  0  1 -1 -1  0  2 -2
+-2  2  0  2 -1  4  2  1 -1  2  2  1  0  1  0  1 -2  2  0  1  0  2  0  0
+-2  2  0  1  1  2  4  0 -1  1  1  1  1  1  1  0 -1  1  1  0 -1  1  1 -1
+-2  0  1  0  1  1  0  4  1  1  2  1  1  0  2  0  0  1  0  1  1  0  2 -1
+-1 -1  2 -1  2 -1 -1  1  4  1 -1  0 -1  0  1  0  1  0  0  0  0  0  1  0
+-2  0  0  2  0  2  1  1  1  4  2  0  1  0  1  1  0  1  1  0  1  1  1  1
+-2  1 -1  2 -1  2  1  2 -1  2  4  0  1  1  1  1  0  1  1  1  1  0  1  0
+-2  2  1  1  1  1  1  1  0  0  0  4 -1  1  0  1 -1  1  1  2 -2  2  0  0
+ 0 -1 -1  0  1  0  1  1 -1  1  1 -1  4 -2  1 -1  1  0  0 -2  1 -1  2 -1
+-2  2  1  1 -1  1  1  0  0  0  1  1 -2  4  0  1 -2  0  1  2 -1  1 -1  0
+-2  0  0  1  1  0  1  2  1  1  1  0  1  0  4  1  1  1  1  1  1  0  2  0
+-2  2 -1  2 -1  1  0  0  0  1  1  1 -1  1  1  4 -1  2  1  2 -1  2 -1  2
+ 1 -2 -1  0  1 -2 -1  0  1  0  0 -1  1 -2  1 -1  4 -1  0 -1  1 -2  2  0
+-2  2 -1  1  0  2  1  1  0  1  1  1  0  0  1  2 -1  4  0  1  0  2  0  1
+-2  0  1  2  1  0  1  0  0  1  1  1  0  1  1  1  0  0  4  1 -1  1  0  0
+-2  2  0  2 -1  1  0  1  0  0  1  2 -2  2  1  2 -1  1  1  4 -1  1 -1  1
+ 1 -2 -1  0 -1  0 -1  1  0  1  1 -2  1 -1  1 -1  1  0 -1 -1  4 -2  1  0
+-2  2  1  1  0  2  1  0  0  1  0  2 -1  1  0  2 -2  2  1  1 -2  4 -1  1
+-1 -1  0  0  2  0  1  2  1  1  1  0  2 -1  2 -1  2  0  0 -1  1 -1  4 -1
+ 0  1 -2  1 -2  0 -1 -1  0  1  0  0 -1  0  0  2  0  1  0  1  0  1 -1  4
+"""
 
 
 def _parse_param(name: str, param: str, least: int) -> int:
@@ -220,7 +227,7 @@ def builtin(name: str) -> GramLattice:
     if name == "e8":
         return GramLattice(_cartan(8, _E8_EDGES), name="e8")
     if name == "leech":
-        return GramLattice(_LEECH_GRAM, name="leech")
+        return GramLattice([map(int, row.split()) for row in _LEECH_GRAM.strip().splitlines()], name="leech")
     family, sep, param = name.partition(":")
     if not sep:
         raise LatticeFormatError(f"unknown builtin lattice '{name}'")
@@ -514,12 +521,13 @@ def shell_count(L: GramLattice, k: int) -> int:
 # cof_ii / det G = (G^-1)_ii comes from exact principal minors: Cauchy-Schwarz
 # in the form G gives x_i**2 <= (x^T G x) (G^-1)_ii, so the norm-kmax box holds
 # every vector of norm <= kmax, and one scan buckets its hits by exact norm.
-# The scan fixes a prefix p of leading coordinates (at least one from rank 2
-# up) so that the grid of tails t has at most _CHUNK_ROWS rows, builds that
-# grid once and forms q_t = t^T G_tt t once, column by column, and keeps the
-# tails with kmin <= p^T G_pp p + q_t + t . (2 G_tp p) <= kmax, all in int64;
-# only hits become full rows.  Shares only the exact elimination (and the row
-# bound) with the search above; intended for cross-checking it when n is small.
+# The scan fixes the shortest prefix p of leading coordinates (none when the
+# whole box fits) that leaves a grid of tails t of at most _CHUNK_ROWS rows,
+# builds that grid once and forms q_t = t^T G_tt t once, column by column,
+# and keeps the tails with kmin <= p^T G_pp p + q_t + t . (2 G_tp p) <= kmax,
+# all in int64; only hits become full rows.  Shares only the exact
+# elimination (and the row bound) with the search above; intended for
+# cross-checking it when n is small.
 
 
 def _box_bounds(L: GramLattice, k: int) -> list:
@@ -546,7 +554,7 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     G = np.array(L.gram, dtype=np.int64)
     ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
 
-    lead = min(1, n - 1)
+    lead = 0
     while math.prod(len(r) for r in ranges[lead:]) > _CHUNK_ROWS and lead < n - 1:
         lead += 1
 

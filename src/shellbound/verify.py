@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -144,7 +143,7 @@ def _c04_filters(ctx: VerifyContext) -> Dict:
     _require(c.product_actual == Fraction(5, 96), "actual product wrong")
     _require(c.consistent is False, "norm-3 constraints reported consistent")
     _require(norm2_filter_dimension() == 8, "norm-2 dimension solve != 8")
-    return {"search_k2": dims2, "search_k3": dims3, **asdict(c)}
+    return {"search_k2": dims2, "search_k3": dims3, **c._asdict()}
 
 
 def _c05_closed_forms(ctx: VerifyContext) -> Dict:
@@ -337,8 +336,7 @@ def _c12_negative_controls(ctx: VerifyContext) -> Dict:
     }
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     cid: str
     description: str
     run: Callable[[VerifyContext], Dict]

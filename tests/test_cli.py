@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import importlib
 import json
 import math
@@ -16,9 +15,9 @@ import pytest
 
 from shellbound import cli, verify
 from shellbound.classify import EqualityReport
-from shellbound.design import DesignReport
-from shellbound.filter import FilterReport
-from shellbound.lattice import Shell, builtin, enumerate_shell, inner, lattice_to_document
+from shellbound.design import DesignReport, PairDistribution, Spectrum
+from shellbound.filter import FilterReport, Norm3Contradiction
+from shellbound.lattice import Shell, SpanBasis, builtin, enumerate_shell, inner, lattice_to_document
 
 
 def run_cli(*args, check=False):
@@ -300,7 +299,39 @@ class TestJsonable:
         # a field added to the report reaches the CLI with no second edit
         assert cli.main(argv.split()) == 0
         result = parse_report(capsys.readouterr().out)["result"]
-        assert set(result) == {f.name for f in dataclasses.fields(report)}
+        assert set(result) == set(report._fields)
+
+
+# the fields of every report type, in order: the CLI's JSON keys
+REPORT_FIELDS = {
+    FilterReport: ("passes", "evaluations"),
+    Norm3Contradiction: ("n_from_sum", "product_required", "product_actual", "consistent"),
+    Spectrum: ("k", "values"),
+    PairDistribution: ("k", "n", "size", "counts"),
+    DesignReport: ("strength", "tight", "fisher_bound", "count", "capped"),
+    EqualityReport: ("dim", "k", "count", "bound", "equality", "case", "evidence"),
+    SpanBasis: ("rank", "basis", "gram"),
+    verify.Criterion: ("cid", "description", "run"),
+}
+
+
+class TestReportTypes:
+    @pytest.mark.parametrize("report", REPORT_FIELDS, ids=lambda t: t.__name__)
+    def test_fields_are_pinned(self, report):
+        assert report._fields == REPORT_FIELDS[report]
+
+    @pytest.mark.parametrize("report", REPORT_FIELDS, ids=lambda t: t.__name__)
+    def test_fields_cannot_be_rebound(self, report):
+        r = report._make(range(len(report._fields)))
+        for name in report._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        assert tuple(r) == tuple(range(len(report._fields)))
+
+    def test_a_nested_report_serializes_as_an_object(self):
+        # a report is a tuple: its fields must win over the list branch
+        payload = {"spectra": [Spectrum(2, (Fraction(-1, 2), Fraction(0)))]}
+        assert cli._jsonable(payload) == {"spectra": [{"k": 2, "values": ["-1/2", "0/1"]}]}
 
 
 class TestHugeNorm:

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -113,6 +116,11 @@ class TestBuiltinCatalog:
         assert gram_det(B) == 1
         assert is_even(B)
         assert [len(enumerate_shell(L, k)) for k in (1, 2, 3, 4)] == [0, 0, 0, 196560]
+
+    def test_leech_gram_is_the_published_constant(self):
+        # the digest of the tuple literal the 24-row string replaced
+        digest = hashlib.sha256(repr(builtin("leech").gram).encode()).hexdigest()
+        assert digest == "f542a96e5654da3bd652f8131b198c062f2382123c0ced568800e1ae0547f4d2"
 
     @pytest.mark.parametrize("bad", ["zn:0", "an:0", "dn:1", "scaledz:0", "zn:x", "zn:", "nosuch", "e9", "zn:-3"])
     def test_rejects_bad_names(self, bad):
@@ -398,6 +406,28 @@ class TestShellArray:
         assert rows.flags.writeable
         assert rows.tolist() == [[1, 0], [0, -1], [0, 1], [-1, 0]]
 
+    @pytest.mark.parametrize("name", ["k", "vectors", "lattice", "other"])
+    def test_attributes_cannot_be_rebound(self, name):
+        S = enumerate_shell(builtin("zn:2"), 1)
+        with pytest.raises(AttributeError):
+            setattr(S, name, None)
+        with pytest.raises(AttributeError):
+            delattr(S, name)
+        assert (S.k, len(S), S.lattice) == (1, 4, builtin("zn:2"))
+
+    def test_equality_is_identity(self):
+        rows = np.array([[1, 0], [-1, 0]])
+        S, T = Shell(1, rows, builtin("zn:2")), Shell(1, rows, builtin("zn:2"))
+        assert S == S and S != T
+        assert len({S, T}) == 2
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S))])
+    def test_copies_rebuild_a_checked_shell(self, clone):
+        S = enumerate_shell(builtin("e8"), 2)
+        C = clone(S)
+        assert C is not S and C.k == 2 and C.lattice == S.lattice
+        assert np.array_equal(C.vectors, S.vectors) and not C.vectors.flags.writeable
+
 
 # every norm up to K: zn/an/dn through rank 6, e8, and rank 1
 _BATCH_CASES = (
@@ -573,7 +603,7 @@ class TestBruteForceOracle:
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
 
     @pytest.mark.parametrize(
-        "name, k, lead", [("scaledz:2", 8, 0), ("zn:6", 4, 1), ("zn:6", 9, 2), ("zn:6", 25, 3)]
+        "name, k, lead", [("scaledz:2", 8, 0), ("zn:2", 1, 0), ("zn:6", 4, 1), ("zn:6", 9, 2), ("zn:6", 25, 3)]
     )
     def test_agreement_in_slices(self, name, k, lead):
         # lead: the coordinates the scan must fix so the rest fits a chunk
@@ -582,6 +612,15 @@ class TestBruteForceOracle:
         assert math.prod(sizes[lead:]) <= _CHUNK_ROWS
         assert lead == 0 or math.prod(sizes[lead - 1 :]) > _CHUNK_ROWS
         assert np.array_equal(enumerate_shell(L, k).vectors, brute_force_shell(L, k).vectors)
+
+    @pytest.mark.parametrize("name, k, lead", [("zn:2", 1, 0), ("zn:6", 4, 1), ("zn:6", 9, 2)])
+    def test_one_pass_per_fixed_prefix(self, monkeypatch, name, k, lead):
+        # each pass stacks its prefix onto its hits once; a box that fits one
+        # chunk is scanned in a single pass
+        passes, hstack = [], np.hstack
+        monkeypatch.setattr(np, "hstack", lambda arrays: passes.append(1) or hstack(arrays))
+        brute_force_shell(builtin(name), k)
+        assert len(passes) == math.prod(2 * b + 1 for b in _box_bounds(builtin(name), k)[:lead])
 
     @pytest.mark.parametrize("name", _C11_BUILTINS)
     def test_box_holds_the_shell(self, name):

@@ -60,6 +60,31 @@ def test_request_loads_no_verification_engine(request_args):
     assert "shellbound.verify" not in loaded
 
 
+@pytest.mark.parametrize(
+    "request_args",
+    [
+        ["classify", "--lattice", "zn:2", "--k", "1"],
+        ["verify-paper", "--criteria", "C01", "--quiet"],
+        ["bound", "--n", "8", "--k", "2"],
+        ["filter", "--k", "2", "--n", "8"],
+    ],
+    ids=["classify", "verify-paper", "bound", "filter"],
+)
+def test_request_builds_no_generated_classes(request_args):
+    # reports are named tuples and Shell a slots class: no request needs
+    # dataclasses, whose generated methods are compiled at import
+    loaded = _loaded("-m", "shellbound", *request_args)
+    assert "shellbound.cli" in loaded
+    assert loaded & {"dataclasses", "copy"} == set()
+
+
+def test_bound_compiles_no_filter():
+    # filter.py is imported inside the filter handler only
+    loaded = _loaded("-m", "shellbound", "bound", "--n", "8", "--k", "2")
+    assert "shellbound.exactpoly" in loaded
+    assert "shellbound.filter" not in loaded
+
+
 def test_verify_paper_loads_the_verification_engine():
     # the probe above sees the engine when a request does load it
     assert "shellbound.verify" in _loaded("-m", "shellbound", "verify-paper", "--criteria", "C01", "--quiet")
