@@ -25,11 +25,11 @@ from .filter import (
     root_filter,
 )
 from .lattice import (
+    _CHUNK_ROWS,
     Shell,
     gram_det,
     gram_products,
     is_even,
-    sort_rows,
     span_of,
 )
 
@@ -41,6 +41,7 @@ NONE = "NONE"
 
 # the consequences of equality that classify certifies, by evidence key
 CONSEQUENCES = ("spectrum_complete", "strength_at_least_required", "tight", "annihilator_identity")
+_CLOSURE_ROWS = 16  # reflection_closure's mirrors per block: 16 x N keys at a time
 
 
 class EqualityReport(NamedTuple):
@@ -53,6 +54,13 @@ class EqualityReport(NamedTuple):
     evidence: Dict
 
 
+def _check_row_norms(S: Shell) -> None:
+    # Shell checks no norms; its upper half holds one row of each +-pair
+    for i in range(len(S) // 2, len(S), _CHUNK_ROWS):
+        if not (gram_products(S.vectors[i : i + _CHUNK_ROWS], S.lattice.gram) == S.k).all():
+            raise PreconditionError(f"shell rows must have squared norm {S.k}")
+
+
 def orthonormal_system(S: Shell):
     """One vector per antipodal pair of a norm-1 shell, verified mutually
     orthogonal; returns those rows when there are n of them, else None."""
@@ -60,27 +68,27 @@ def orthonormal_system(S: Shell):
         raise PreconditionError("orthonormal extraction applies to norm-1 shells")
     L = S.lattice
     reps = S.vectors[len(S.vectors) // 2 :]
-    if len(reps) != L.n:
-        return None
-    P = gram_products(reps, L.gram, reps)
-    if not np.array_equal(P, np.identity(L.n, dtype=np.int64)):
+    if len(reps) != L.n or not np.array_equal(gram_products(reps, L.gram, reps), np.identity(L.n, dtype=np.int64)):
         return None
     return reps
 
 
 def reflection_closure(S: Shell) -> bool:
     """True when a norm-2 shell is closed under its own root reflections
-    s_a(b) = b - <b,a> a."""
+    s_a(b) = b - <b,a> a; PreconditionError when a row's norm is not 2."""
     if S.k != 2:
         raise PreconditionError("reflection closure applies to norm-2 shells")
+    _check_row_norms(S)
     V = S.vectors
-    # |<b,a>| <= 2 between norm-2 vectors, so the products fit in int64
-    P = gram_products(V, S.lattice.gram, V).astype(np.int64)
-    for i in range(len(V)):
-        # a reflection is injective, so it maps the shell into itself exactly
-        # when its image, sorted lexicographically, is the shell
-        refl = V - P[:, i : i + 1] * V[i]
-        if not np.array_equal(sort_rows(refl), V):
+    # |<b,a>| <= 2, so images have coordinates of at most 3 max|v|, where the
+    # keys sum_j v_j B**(n-1-j) are injective, linear, and sorted like the rows
+    B, n = 6 * int(np.abs(V).max(initial=0)) + 1, S.lattice.n
+    dtype = object if B**n >= 2**62 else np.int64
+    keys = V.astype(dtype) @ np.array([B ** (n - 1 - j) for j in range(n)], dtype=dtype)
+    for i in range(0, len(V), _CLOSURE_ROWS):
+        # s_a is injective, so s_a(S) = S when every key(b) - <b,a> key(a) is in S
+        img = keys - gram_products(V[i : i + _CLOSURE_ROWS], S.lattice.gram, V) * keys[i : i + _CLOSURE_ROWS, None]
+        if not (keys[np.searchsorted(keys, img).clip(max=len(V) - 1)] == img).all():
             return False
     return True
 
@@ -130,9 +138,10 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
     Equality cases carry certification evidence: the complete inner-product
     spectrum, strength and tightness, the annihilator identity, and the
     recognition route.  Non-equality reports name the exclusion mechanism.
+    Raises PreconditionError when a row of S does not have squared norm k.
     """
-    L, k = S.lattice, S.k
-    n = L.n
+    _check_row_norms(S)
+    L, k, n = S.lattice, S.k, S.lattice.n
     count, bound = len(S.vectors), shell_bound(n, k)
     if count != bound:
         return EqualityReport(n, k, count, bound, False, NONE, _exclusion_evidence(n, k))

@@ -341,9 +341,13 @@ def worker_count(threads: int) -> int:
 # ones.  Frontiers are numpy arrays of at most _CHUNK_ROWS rows: a parent's
 # children come in pieces of that size, walked depth first, so the search
 # holds at most one frontier and one piece per level and yields its result in
-# chunks.  Antipodal halving keeps one vector per +-pair (the highest-index
-# nonzero coordinate is positive); every vector is produced once, so a count
-# needs no sort and the Shell's sort makes the order canonical.
+# chunks.  A stored coordinate, the root-solved y_0 too, is admissible (some
+# real x with x_j = y_j, j >= t, has norm <= k), so |y_j| <= ymax by Hadamard
+# (below): coordinates and chunks take the narrowest signed type holding ymax,
+# else the arithmetic dtype of b, P and the roots, at most _CHUNK_ROWS x n x
+# that width bytes per level.  Antipodal halving keeps one vector per +-pair
+# (the highest-index nonzero coordinate is positive); every vector is produced
+# once, so a count needs no sort; the Shell's sort makes the order canonical.
 
 _CHUNK_ROWS = 4096
 
@@ -385,8 +389,8 @@ def _children(y, P, z, b, lo, hi, t, D):
 
 def _search(L: GramLattice, kmin: int, k: int):
     """(rows, norms) chunks of at most _CHUNK_ROWS rows: together one row per
-    +-pair of the integer vectors y with kmin <= y^T G y <= k, G = L.gram,
-    and their norms, in the search's dtype."""
+    +-pair of the integer vectors y with kmin <= y^T G y <= k, G = L.gram;
+    rows in the narrowest dtype holding ymax, norms in the arithmetic's."""
     gram, a, n = L.gram, L.elimination, L.n
     D = [1] + [a[t][t] for t in range(n)]  # D[t + 1] is D_t
     # Every intermediate is at most k*D_{t-1}*D_t + max|b_t|, and Hadamard's
@@ -395,9 +399,10 @@ def _search(L: GramLattice, kmin: int, k: int):
     bmax = ymax * max(sum(abs(x) for x in a[t][t + 1 :]) for t in range(n))
     dtype = _int_dtype(max(bmax, max(k * D[t] * D[t + 1] for t in range(n))))
     A = np.array([[a[t][j] if j > t else 0 for j in range(n)] for t in range(n)], dtype=dtype)
+    ydtype = next((w for w in (np.int8, np.int16, np.int32) if ymax <= np.iinfo(w).max), dtype)
 
     # depth first: one iterator of (y, P, z, t) frontiers per level in progress
-    stack = [iter([(np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)])]
+    stack = [iter([(np.zeros((1, n), dtype=ydtype), np.zeros(1, dtype=dtype), np.ones(1, dtype=bool), n - 1)])]
     while stack:
         frontier = next(stack[-1], None)
         if frontier is None:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,7 @@ from shellbound.classify import (
     reflection_closure,
 )
 from shellbound import verify
+from shellbound.errors import PreconditionError
 from shellbound.design import design_strength, pair_distribution
 from shellbound.lattice import (
     _E8_EDGES,
@@ -30,6 +32,7 @@ from shellbound.lattice import (
     enumerate_shells,
     gram_det,
     hermite_normal_form,
+    inner,
     span_of,
 )
 
@@ -138,6 +141,56 @@ class TestReflectionClosure:
         with pytest.raises(ValueError):
             reflection_closure(S)
 
+    def test_rows_of_another_norm_rejected(self):
+        # a caller-built norm-2 shell whose rows have norm 1
+        with pytest.raises(PreconditionError, match="squared norm 2"):
+            reflection_closure(Shell(2, np.array([[1], [-1]]), builtin("zn:1")))
+
+    @pytest.mark.parametrize("i", [0, 57, 119])
+    def test_e8_without_one_pair_is_not_closed(self, e8_shell, i):
+        # a root a with <r,a> = +-1 maps r -+ a, which is kept, onto the missing r
+        V = np.delete(e8_shell.vectors, [i, 239 - i], axis=0)
+        assert not reflection_closure(Shell(2, V, e8_shell.lattice))
+
+    def test_a_pair_set_that_a_reflection_leaves(self):
+        # two roots of A2 at 120 degrees: each reflects the other onto the
+        # third root, which is missing
+        assert not reflection_closure(Shell(2, np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]), builtin("an:2")))
+
+    def test_a_closed_proper_subset(self):
+        # two orthogonal roots of D4 (A1 + A1) are closed, though not the shell
+        L = builtin("dn:4")
+        V = enumerate_shell(L, 2).vectors
+        a = V[0]
+        b = next(v for v in V if inner(L, a, v) == 0)
+        assert reflection_closure(Shell(2, np.array([a, b, -a, -b]), L))
+
+    @pytest.mark.parametrize("name, keys", [("an:22", np.int64), ("an:23", object)])
+    def test_keys_past_int64_are_python_ints(self, monkeypatch, name, keys):
+        # B = 7 (coordinates of at most 1): 7**22 < 2**62 <= 7**23
+        S = enumerate_shell(builtin(name), 2)
+        dtypes, searchsorted = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v: dtypes.append(a.dtype) or searchsorted(a, v))
+        assert reflection_closure(S)
+        assert not reflection_closure(Shell(2, S.vectors[1:-1], S.lattice))
+        assert set(dtypes) == {np.dtype(keys)}
+
+    @pytest.mark.parametrize("rows", [1, 7, 240])
+    def test_block_size_changes_no_answer(self, monkeypatch, e8_shell, rows):
+        monkeypatch.setattr(importlib.import_module("shellbound.classify"), "_CLOSURE_ROWS", rows)
+        assert reflection_closure(e8_shell)
+        assert not reflection_closure(Shell(2, e8_shell.vectors[1:-1], e8_shell.lattice))
+
+    def test_working_set_is_one_block(self, e8_shell):
+        # 16 mirrors at a time: 16 x 240 keys, not the 240 x 240 products
+        tracemalloc.start()
+        try:
+            assert reflection_closure(e8_shell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 2**20
+
 
 class TestRecognizeE8:
     def test_accepts_the_root_lattice(self, e8_shell):
@@ -158,6 +211,30 @@ class TestRecognizeE8:
         for S, expected in [(e8_shell, True), (tampered, False), (enumerate_shell(builtin("dn:8"), 2), False)]:
             assert recognize_e8(S) is expected
             assert (classify(S).case == E8) is expected
+
+
+class TestCallerBuiltShells:
+    """Shell checks no norms, so classify checks a caller's rows itself."""
+
+    @pytest.mark.parametrize(
+        "k, rows, name",
+        [(1, [[1, 1], [-1, -1]], "zn:2"), (4, [[1], [-1]], "scaledz:1")],
+        ids=["norm-2-rows-as-norm-1", "norm-1-rows-as-norm-4"],
+    )
+    def test_rows_of_another_norm_rejected(self, k, rows, name):
+        # unchecked, the first reads NONE and the second RANK1 equality at k = 4
+        with pytest.raises(PreconditionError, match=f"squared norm {k}"):
+            classify(Shell(k, np.array(rows), builtin(name)))
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_one_wrong_pair_is_found_in_any_slice(self, monkeypatch, e8_shell, rows):
+        # the pair +-2e_0, of norm 8, among the 240 roots: every slicing finds it
+        monkeypatch.setattr(importlib.import_module("shellbound.classify"), "_CHUNK_ROWS", rows)
+        e = np.eye(8, dtype=np.int64)[:1]
+        S = Shell(2, np.concatenate([e8_shell.vectors, 2 * e, -2 * e]), e8_shell.lattice)
+        with pytest.raises(PreconditionError):
+            classify(S)
+        assert classify(e8_shell).case == E8
 
 
 class TestClassify:

@@ -257,8 +257,9 @@ class TestErrorExits:
 
 
 class TestBoundedMemory:
-    """A count keeps one search frontier per level, each of bounded size,
-    whatever the answer and the norm."""
+    """A count keeps one search frontier per level, each of at most
+    _CHUNK_ROWS rows of coordinates in the narrowest type that holds their
+    proven bound, whatever the answer and the norm."""
 
     @pytest.mark.parametrize(
         "args, limit_mb, count",

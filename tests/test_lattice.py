@@ -217,14 +217,27 @@ class TestEnumerateShell:
         with pytest.raises(ValueError):
             enumerate_shell(builtin("zn:2"), 2**126)
 
-    @pytest.mark.parametrize("k, dtype", [(2**128, object), (2**100, np.int64)])
+    @pytest.mark.parametrize(
+        "k, dtype",
+        [(2**128, object), (2**100, np.int64)]
+        + [(k, np.int64) for k in (2**40, 2**20, 2**10, 128**2, 127**2)],
+    )
     def test_root_solved_coordinate_of_any_size(self, k, dtype):
         # the walked level holds only y_1 = 0; y_0 = +-sqrt(k) comes from the
-        # root solve, which the size guard does not limit, and stays exact
-        V = enumerate_shell(GramLattice([[1, 0], [0, 4**70]]), k).vectors
+        # root solve, which the size guard does not limit, and stays exact.
+        # The search stores it in the narrowest type that holds its bound
+        # ymax = sqrt(k) (int8 for 2**10 and 127**2), else in the arithmetic's
+        # type (Python ints here); the shell is int64 or object whatever the
+        # search's width
+        width = {2**128: object, 2**100: object, 2**40: np.int32, 2**20: np.int16, 128**2: np.int16}.get(k, np.int8)
+        L = GramLattice([[1, 0], [0, 4**70]])
+        assert {rows.dtype for rows, _ in _search(L, k, k)} == {np.dtype(width)}
+        V = enumerate_shell(L, k).vectors
         m = math.isqrt(k)
         assert V.tolist() == [[-m, 0], [m, 0]]
         assert V.dtype == dtype
+        if dtype is np.int64:
+            assert V.tobytes() == np.array([[-m, 0], [m, 0]], dtype=np.int64).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**6), st.integers(1, 2**70))
@@ -563,6 +576,17 @@ class TestShellCounts:
         assert counts == {k: len(S) for k, S in enumerate_shells(L, K).items()}
         assert counts == shell_counts(builtin(name), K)
 
+    def test_e8_count_holds_narrow_frontiers(self):
+        # C08's count: every frontier holds int8 coordinates (ymax = 39), so
+        # the levels in progress take a fraction of int64's 8 bytes per entry
+        tracemalloc.start()
+        try:
+            assert shell_counts(builtin("e8"), 6) == {1: 0, 2: 240, 3: 0, 4: 2160, 5: 0, 6: 6720}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_a_huge_norm_is_counted_in_bounded_memory(self):
         # one row at the top level has 2**22 + 1 children: they come in pieces
         tracemalloc.start()
@@ -586,6 +610,17 @@ class TestSearchChunks:
             assert S.vectors.tobytes() == whole[k].vectors.tobytes()
             assert enumerate_shell(L, k).vectors.tobytes() == single[k].vectors.tobytes()
         assert shell_counts(L, K) == {k: len(S) for k, S in whole.items()}
+
+    @pytest.mark.parametrize(
+        "name, k, width",
+        [("e8", 6, np.int8), ("dn:8", 6, np.int8), ("zn:8", 6, np.int8), ("an:4", 4, np.int8), ("leech", 4, np.int32)],
+    )
+    def test_chunks_take_the_narrowest_width(self, name, k, width):
+        # ymax = isqrt(k prod(G_ii) / det G): 39 for e8 at 6, 2**25 for leech at 4
+        L = builtin(name)
+        for kmin in (k, 1):
+            rows, norms = next(_search(L, kmin, k))
+            assert rows.dtype == width and norms.dtype == np.int64
 
     @pytest.mark.parametrize("kmin", [1, 6])
     def test_no_chunk_exceeds_the_limit(self, monkeypatch, kmin):
