@@ -4,11 +4,12 @@ and the annihilator polynomial identity for lattice shells.
 Normalized shell points are never materialized: every formula runs on the
 integers <y,z>, which key the pair counts, over the one denominator k.  They
 come from one matrix product in the arithmetic that lattice.product_dtype
-proves exact (float64, int64 or Python ints), as lattice.gram_products does.
+proves exact (float32/64, int64 or Python ints), as lattice.gram_products does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional
 
@@ -27,6 +28,9 @@ from .lattice import (
     product_dtype,
     worker_count,
 )
+
+_TILE = 512  # rows and columns of one product tile; its int8 copy and masks stay in L2
+_COUNT_K = 10  # largest k whose tiles are tallied value by value in int8
 
 
 class Spectrum(NamedTuple):
@@ -55,12 +59,29 @@ class DesignReport(NamedTuple):
     capped: bool
 
 
+def _tally(P: np.ndarray, k: int):
+    """(values, counts) of the integer products P in [-k, k]: value by value in
+    int8 while k <= _COUNT_K, else by bincount, or by sorting if 2k+1 > P.size."""
+    if k <= _COUNT_K:
+        P8 = P.astype(np.int8)
+        c = np.array([np.count_nonzero(P8 == j) for j in range(-k, k + 1)])
+    elif 2 * k + 1 <= P.size:
+        c = np.bincount(P.ravel().astype(np.int64) + k, minlength=2 * k + 1)
+    else:
+        return np.unique(P, return_counts=True)
+    keys = np.flatnonzero(c)
+    return keys - k, c[keys]
+
+
 def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     """Exact ordered-pair counts per integer inner product <y,z>.
 
     Works on antipodal representatives: for j != -k the full count is twice
     the representative count at j plus twice the count at -j, and the count
     at -k is the shell size (each point meets its antipode once).
+
+    Threads walk row strips of _TILE x _TILE tiles over the upper triangle: a
+    diagonal tile counts once, any other twice, as <v,w> = <w,v>.
 
     Raises PreconditionError (bad input) when the shell is empty or has a row
     whose norm is not k; Shell itself guarantees distinct +-pairs.
@@ -74,39 +95,32 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     V = S.vectors[N // 2 :]
     m = V.shape[0]
 
-    # cast once and form W = V G once; each block is then one product V_a W^T
+    # cast once and form W = V G once; each tile is then one product V_a W_c^T
     dtype = product_dtype(int(np.abs(V).max()), gram)
     V = V.astype(dtype)
     W = V @ np.array(gram, dtype=dtype)
     norms = (V * W).sum(axis=1)  # exact in dtype, like every entry of V W^T
     if int(norms.min()) != k or int(norms.max()) != k:
         raise PreconditionError(f"pair_distribution needs every row of norm {k}")
-    block = max(1, min(m, 4_000_000 // m + 1))
 
-    def count_block(a):
-        # the products lie in [-k, k]; 2k+1 bincount bins cost time and
-        # memory in k, so bincount only runs while the block is at least as
-        # large, and the values that occur are sorted out otherwise
-        P = (V[a : a + block] @ W.T).ravel()
-        if 2 * k + 1 <= P.size:
-            c = np.bincount(P.astype(np.int64) + k, minlength=2 * k + 1)
-            keys = np.flatnonzero(c)
-            return keys - k, c[keys]
-        return np.unique(P, return_counts=True)
+    def count_strip(a):
+        raw = Counter()
+        for c in range(a, m, _TILE):
+            keys, cnts = _tally(V[a : a + _TILE] @ W[c : c + _TILE].T, k)
+            for p, n in zip(keys.tolist(), cnts.tolist()):
+                raw[int(p)] += n if c == a else 2 * n
+        return raw
 
-    starts = range(0, m, block)
+    starts = range(0, m, _TILE)
     workers = worker_count(threads)
     if workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(count_block, starts))
+            tallies = list(pool.map(count_strip, starts))
     else:
-        tallies = [count_block(a) for a in starts]
-    raw: Dict[int, int] = {}
-    for keys, cnts in tallies:
-        for p, c in zip(keys.tolist(), cnts.tolist()):
-            raw[int(p)] = raw.get(int(p), 0) + c
+        tallies = [count_strip(a) for a in starts]
+    raw = sum(tallies, Counter())
 
     diagonal = raw.pop(k, 0)  # <v,v> = k once per representative
     if diagonal != m:

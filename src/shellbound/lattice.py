@@ -276,12 +276,13 @@ def product_dtype(vmax: int, gram) -> type:
     """The dtype in which v^T G w is exact for integer vectors whose entries
     are at most vmax in absolute value.
 
-    float64 while (n*vmax)**2 * max|G| < 2**52, so that every partial sum is
-    an integer below 2**53; int64 below 2**62; Python ints (object) above.
+    Every partial sum of v^T G w, in any order, is an integer of magnitude at
+    most bound = (n*vmax)**2 * max|G|: exact in float32 while bound < 2**24
+    and in float64 while bound < 2**52; int64 below 2**62; object above.
     """
     n = len(gram)
     bound = (n * vmax) ** 2 * max(abs(x) for row in gram for x in row)
-    return np.float64 if bound < 2**52 else _int_dtype(bound)
+    return np.float32 if bound < 2**24 else np.float64 if bound < 2**52 else _int_dtype(bound)
 
 
 def _int_dtype(bound: int) -> type:
@@ -309,7 +310,7 @@ def gram_products(A, gram, B=None) -> np.ndarray:
     Ad = A.astype(dtype)
     W = Ad @ np.array(gram, dtype=dtype)
     P = np.einsum("ij,ij->i", W, Ad) if B is None else W @ Bm.astype(dtype).T
-    # float64 products are exact integers here, so the cast truncates nothing
+    # float products are exact integers here, so the cast truncates nothing
     return P if dtype is object else P.astype(np.int64)
 
 
@@ -553,7 +554,7 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     _check_norms(kmin, kmax)
     n = L.n
     bounds = _box_bounds(L, kmax)
-    if product_dtype(max(bounds), L.gram) is not np.float64:
+    if product_dtype(max(bounds), L.gram) not in (np.float32, np.float64):
         # the bound that keeps every partial sum of the scan below 2**52
         raise PreconditionError("oracle box too large for an exact float64 scan")
     G = np.array(L.gram, dtype=np.int64)

@@ -1,13 +1,14 @@
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
-from shellbound import verify
+from shellbound import design, verify
 
 from shellbound.design import (
     PairDistribution,
@@ -85,8 +86,8 @@ class TestPairDistribution:
 
     @pytest.mark.parametrize(
         "q, dtype",
-        [(10**7, np.float64), (2**55, np.int64), (4 * 10**18, object)],
-        ids=["float64", "int64", "object"],
+        [(10**6, np.float32), (10**7, np.float64), (2**55, np.int64), (4 * 10**18, object)],
+        ids=["float32", "float64", "int64", "object"],
     )
     def test_cost_follows_the_shell_not_k(self, q, dtype):
         # four vectors at norm q: only two products occur, whatever q is
@@ -131,6 +132,55 @@ class TestPairDistribution:
                 for threads in (1, 2):
                     dist = pair_distribution(S, threads=threads)
                     assert Counter(dist.counts) + Counter({k: len(S)}) == tally, (L.gram, k, threads)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        L=st.one_of(_reduced_gram(), st.just(builtin("e8"))),
+        scale=st.sampled_from([1, 3, 64]),
+        tile=st.sampled_from([1, 3, 5, 17]),
+        k=st.integers(1, 4),
+    )
+    @example(L=builtin("e8"), scale=64, tile=17, k=2)
+    @example(L=builtin("e8"), scale=1, tile=5, k=2)
+    def test_ragged_tiles_fold_to_the_reference_tally(self, monkeypatch, L, scale, tile, k):
+        # odd tiles leave ragged edges and many off-diagonal tiles; scaling the
+        # Gram by 3 or 64 moves norm k to 3k or 64k, past the int8 tally
+        # (64 E8 at k = 128: bincount, or unique in tiles of fewer than 257
+        # products), and real threads split the row strips
+        monkeypatch.setattr(design, "_TILE", tile)
+        k = min(k, 2) if L.n == 8 else k  # E8 shells past k = 2 hold thousands of vectors
+        S = enumerate_shell(GramLattice([[scale * g for g in row] for row in L.gram]), scale * k)
+        if len(S):
+            tally = verify._inner_tally(S)
+            for threads in (1, 2):
+                dist = pair_distribution(S, threads=threads)
+                assert Counter(dist.counts) + Counter({S.k: len(S)}) == tally, (L.gram, S.k, tile, threads)
+
+    def test_working_set_is_one_tile(self):
+        # 3360 representatives: one float32 tile of 512 x 512 products is
+        # 1 MiB, where a 1191-row float64 block of all 3360 columns and its
+        # int64 cast took about 64 MiB
+        S = enumerate_shell(builtin("e8"), 6)
+        tracemalloc.start()
+        try:
+            dist = pair_distribution(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(dist.counts.values()) == 6720 * 6719
+        assert peak < 16 * 2**20
+
+    @pytest.mark.slow
+    def test_leech_minimal_vectors(self):
+        # Conway-Sloane, SPLAG ch. 4: each of the 196560 minimal vectors meets
+        # 4600 others at <y,z> = +-2, 47104 at +-1 and 93150 at 0; the shell is
+        # a tight 11-design
+        S = enumerate_shell(builtin("leech"), 4)
+        N = 196560
+        dist = pair_distribution(S, threads=2)
+        assert dist.counts == {-4: N, -2: N * 4600, -1: N * 47104, 0: N * 93150, 1: N * 47104, 2: N * 4600}
+        report = design_strength(dist)
+        assert (report.strength, report.tight, report.capped) == (11, True, False)
 
     def test_matches_naive_count(self):
         S = enumerate_shell(builtin("an:3"), 2)

@@ -307,13 +307,18 @@ def _gram_and_rows(draw, g, v):
     return GramLattice(gram), A, B
 
 
-# (regime, Gram scale, entry bound): (n*v)**2 * max|G| lies below 2**52, in
-# [2**52, 2**62) and above 2**62 for every n in 2..4
-_REGIMES = [(np.float64, 2**4, 2**8), (np.int64, 2**10, 2**20), (object, 2**10, 2**30)]
+# (regime, Gram scale, entry bound): (n*v)**2 * max|G| lies below 2**24, in
+# [2**24, 2**52), in [2**52, 2**62) and above 2**62 for every n in 2..4
+_REGIMES = [
+    (np.float32, 2**4, 2**6),
+    (np.float64, 2**10, 2**12),
+    (np.int64, 2**10, 2**20),
+    (object, 2**10, 2**30),
+]
 
 
 class TestGramProducts:
-    @pytest.mark.parametrize("dtype, g, v", _REGIMES, ids=["float64", "int64", "object"])
+    @pytest.mark.parametrize("dtype, g, v", _REGIMES, ids=["float32", "float64", "int64", "object"])
     def test_matches_scalar_inner(self, dtype, g, v):
         @settings(max_examples=40, deadline=None)
         @given(_gram_and_rows(g, v))
