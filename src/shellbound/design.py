@@ -29,8 +29,7 @@ from .lattice import (
     worker_count,
 )
 
-_TILE = 512  # rows and columns of one product tile; its int8 copy and masks stay in L2
-_COUNT_K = 10  # largest k whose tiles are tallied value by value in int8
+_TILE = 512  # rows and columns of one product tile
 
 
 class Spectrum(NamedTuple):
@@ -57,20 +56,6 @@ class DesignReport(NamedTuple):
     fisher_bound: int
     count: int
     capped: bool
-
-
-def _tally(P: np.ndarray, k: int):
-    """(values, counts) of the integer products P in [-k, k]: value by value in
-    int8 while k <= _COUNT_K, else by bincount, or by sorting if 2k+1 > P.size."""
-    if k <= _COUNT_K:
-        P8 = P.astype(np.int8)
-        c = np.array([np.count_nonzero(P8 == j) for j in range(-k, k + 1)])
-    elif 2 * k + 1 <= P.size:
-        c = np.bincount(P.ravel().astype(np.int64) + k, minlength=2 * k + 1)
-    else:
-        return np.unique(P, return_counts=True)
-    keys = np.flatnonzero(c)
-    return keys - k, c[keys]
 
 
 def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
@@ -106,7 +91,16 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
     def count_strip(a):
         raw = Counter()
         for c in range(a, m, _TILE):
-            keys, cnts = _tally(V[a : a + _TILE] @ W[c : c + _TILE].T, k)
+            # the products lie in [-k, k]; 2k+1 bincount bins cost time and
+            # memory in k, so bincount only runs while the tile is at least as
+            # large, and the values that occur are sorted out otherwise
+            P = (V[a : a + _TILE] @ W[c : c + _TILE].T).ravel()
+            if 2 * k + 1 <= P.size:
+                cnt = np.bincount(P.astype(np.int64) + k, minlength=2 * k + 1)
+                keys = np.flatnonzero(cnt)
+                keys, cnts = keys - k, cnt[keys]
+            else:
+                keys, cnts = np.unique(P, return_counts=True)
             for p, n in zip(keys.tolist(), cnts.tolist()):
                 raw[int(p)] += n if c == a else 2 * n
         return raw

@@ -280,9 +280,13 @@ def product_dtype(vmax: int, gram) -> type:
     most bound = (n*vmax)**2 * max|G|: exact in float32 while bound < 2**24
     and in float64 while bound < 2**52; int64 below 2**62; object above.
     """
-    n = len(gram)
-    bound = (n * vmax) ** 2 * max(abs(x) for row in gram for x in row)
+    bound = _product_bound(vmax, gram)
     return np.float32 if bound < 2**24 else np.float64 if bound < 2**52 else _int_dtype(bound)
+
+
+def _product_bound(vmax: int, gram) -> int:
+    """(n*vmax)**2 * max|G|: a bound on every partial sum of v^T G w."""
+    return (len(gram) * vmax) ** 2 * max(abs(x) for row in gram for x in row)
 
 
 def _int_dtype(bound: int) -> type:
@@ -554,7 +558,7 @@ def brute_force_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     _check_norms(kmin, kmax)
     n = L.n
     bounds = _box_bounds(L, kmax)
-    if product_dtype(max(bounds), L.gram) not in (np.float32, np.float64):
+    if _product_bound(max(bounds), L.gram) >= 2**52:
         # the bound that keeps every partial sum of the scan below 2**52
         raise PreconditionError("oracle box too large for an exact float64 scan")
     G = np.array(L.gram, dtype=np.int64)

@@ -144,9 +144,9 @@ class TestPairDistribution:
     @example(L=builtin("e8"), scale=1, tile=5, k=2)
     def test_ragged_tiles_fold_to_the_reference_tally(self, monkeypatch, L, scale, tile, k):
         # odd tiles leave ragged edges and many off-diagonal tiles; scaling the
-        # Gram by 3 or 64 moves norm k to 3k or 64k, past the int8 tally
-        # (64 E8 at k = 128: bincount, or unique in tiles of fewer than 257
-        # products), and real threads split the row strips
+        # Gram by 3 or 64 moves norm k to 3k or 64k, so tiles are tallied by
+        # bincount or, below 2k+1 products (64 E8 at k = 128 in tiles of
+        # fewer than 257), by unique; real threads split the row strips
         monkeypatch.setattr(design, "_TILE", tile)
         k = min(k, 2) if L.n == 8 else k  # E8 shells past k = 2 hold thousands of vectors
         S = enumerate_shell(GramLattice([[scale * g for g in row] for row in L.gram]), scale * k)

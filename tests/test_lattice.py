@@ -332,6 +332,19 @@ class TestGramProducts:
 
         check()
 
+    @pytest.mark.parametrize(
+        "g, v, dtype",
+        [((2**24 - 1) // 9, 3, np.float32), (2**24 + 1, 1, np.float64)],
+        ids=["below-2**24", "above-2**24"],
+    )
+    def test_float32_rung_ends_at_2_to_24(self, g, v, dtype):
+        # rank 1: the one product v*g*v is the bound itself, 2**24 - 1 or
+        # 2**24 + 1; float32 would round the Gram entry 2**24 + 1 to 2**24
+        L = GramLattice([[g]])
+        assert product_dtype(v, L.gram) is dtype
+        assert gram_products([[v]], L.gram).tolist() == [inner(L, [v], [v])] == [g * v * v]
+        assert gram_products([[v]], L.gram, [[-v]]).tolist() == [[-g * v * v]]
+
 
 def _fibonacci_z2(m):
     """Z^2 in the basis (F_{m+1}, F_m), (F_m, F_{m-1})."""
