@@ -26,10 +26,13 @@ from .filter import (
 )
 from .lattice import (
     _CHUNK_ROWS,
+    GramLattice,
     Shell,
+    enumerate_shell,
     gram_det,
     gram_products,
     is_even,
+    shell_count,
     span_of,
 )
 
@@ -54,13 +57,6 @@ class EqualityReport(NamedTuple):
     evidence: Dict
 
 
-def _check_row_norms(S: Shell) -> None:
-    # Shell checks no norms; its upper half holds one row of each +-pair
-    for i in range(len(S) // 2, len(S), _CHUNK_ROWS):
-        if not (gram_products(S.vectors[i : i + _CHUNK_ROWS], S.lattice.gram) == S.k).all():
-            raise PreconditionError(f"shell rows must have squared norm {S.k}")
-
-
 def orthonormal_system(S: Shell):
     """One vector per antipodal pair of a norm-1 shell, verified mutually
     orthogonal; returns those rows when there are n of them, else None."""
@@ -78,8 +74,11 @@ def reflection_closure(S: Shell) -> bool:
     s_a(b) = b - <b,a> a; PreconditionError when a row's norm is not 2."""
     if S.k != 2:
         raise PreconditionError("reflection closure applies to norm-2 shells")
-    _check_row_norms(S)
     V = S.vectors
+    # Shell checks no norms; its upper half holds one row of each +-pair
+    for i in range(len(V) // 2, len(V), _CHUNK_ROWS):
+        if not (gram_products(V[i : i + _CHUNK_ROWS], S.lattice.gram) == 2).all():
+            raise PreconditionError("shell rows must have squared norm 2")
     # |<b,a>| <= 2, so images have coordinates of at most 3 max|v|, where the
     # keys sum_j v_j B**(n-1-j) are injective, linear, and sorted like the rows
     B, n = 6 * int(np.abs(V).max(initial=0)) + 1, S.lattice.n
@@ -132,17 +131,19 @@ def _exclusion_evidence(n: int, k: int) -> Dict:
     }
 
 
-def classify(S: Shell, threads: int = 1) -> EqualityReport:
-    """Full equality classification of S, the norm-k shell of a lattice.
+def classify(L: GramLattice, k: int, threads: int = 1) -> EqualityReport:
+    """Full equality classification of the norm-k shell of L.
 
     Equality cases carry certification evidence: the complete inner-product
     spectrum, strength and tightness, the annihilator identity, and the
     recognition route.  Non-equality reports name the exclusion mechanism.
-    Raises PreconditionError when a row of S does not have squared norm k.
+    Only the routes at norms 1 and 2 in rank n >= 2 read vectors, and there
+    the shell has O(n^2) of them; every other shell is counted, not built.
     """
-    _check_row_norms(S)
-    L, k, n = S.lattice, S.k, S.lattice.n
-    count, bound = len(S.vectors), shell_bound(n, k)
+    n = L.n
+    S = enumerate_shell(L, k) if n >= 2 and k in (1, 2) else None
+    count = shell_count(L, k) if S is None else len(S)
+    bound = shell_bound(n, k)
     if count != bound:
         return EqualityReport(n, k, count, bound, False, NONE, _exclusion_evidence(n, k))
 
@@ -152,6 +153,10 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
         if q * m * m != k:
             raise CertificationError(f"rank-1 equality at k={k} is not {q}*{m}^2")
         return EqualityReport(n, k, count, bound, True, RANK1, {"scale": q, "m": m})
+    if k >= 3:
+        # impossible for an integral lattice (the norm-3 filter and the
+        # strength table exclude every k >= 3); reaching it means a bug
+        raise CertificationError(f"equality reported at k={k}, n={n}, which is impossible")
 
     dist = pair_distribution(S, threads=threads)
     sp = spectrum(dist)
@@ -173,7 +178,7 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
         evidence["recognition"] = "orthonormal-system"
         evidence["orthonormal_count"] = len(ortho)
         case = ZN
-    elif k == 2:
+    else:
         fr = root_filter(n, 2)
         evidence["root_filter_passes"] = fr.passes
         evidence.update(_e8_certificate(S))
@@ -182,10 +187,5 @@ def classify(S: Shell, threads: int = 1) -> EqualityReport:
         if not (fr.passes and n == 8 and _certifies_e8(evidence) and consequences_ok):
             raise CertificationError("norm-2 equality failed its certification; this is a bug")
         case = E8
-    else:
-        # impossible for an integral lattice (the norm-3 filter and the
-        # strength table exclude every k >= 3); reaching it means a bug
-        raise CertificationError(f"equality reported at k={k}, n={n}, which is impossible")
 
     return EqualityReport(n, k, count, bound, True, case, evidence)
-

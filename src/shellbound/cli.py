@@ -180,7 +180,8 @@ def _cmd_filter(args) -> int:
 def _cmd_classify(args) -> int:
     from .classify import classify
 
-    _emit("classify", {"lattice": args.lattice, "k": args.k}, classify(_shell_arg(args), threads=args.threads))
+    report = classify(_lattice_arg(args), args.k, threads=args.threads)
+    _emit("classify", {"lattice": args.lattice, "k": args.k}, report)
     return 0
 
 

@@ -615,15 +615,12 @@ def hermite_normal_form(rows) -> list:
     H = [_integers(r) for r in rows]
     if not H:
         raise PreconditionError("hermite_normal_form needs at least one row")
-    m = len(H)
-    n = len(H[0])
+    m, n = len(H), len(H[0])
+    if any(len(r) != n for r in H):
+        raise PreconditionError("hermite_normal_form needs rows of one length")
     r = 0
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if H[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if H[i][col] != 0), None)
         if piv is None:
             continue
         H[r], H[piv] = H[piv], H[r]

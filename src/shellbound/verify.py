@@ -80,11 +80,11 @@ class VerifyContext:
         return {k: self._shells[name, k] for k in range(1, kmax + 1)}
 
     def classify(self, name: str, k: int):
-        """The equality report of the cached norm-k shell: the only place a
+        """The cached equality report of the norm-k shell: the only place a
         criterion gets an equality certificate from."""
         key = (name, k)
         if key not in self._reports:
-            self._reports[key] = classify(self.shell(name, k), threads=self.threads)
+            self._reports[key] = classify(self.lattice(name), k, threads=self.threads)
         return self._reports[key]
 
 
@@ -115,16 +115,15 @@ def _c02_cubic_family(ctx: VerifyContext) -> Dict:
 
 
 def _c03_e8(ctx: VerifyContext) -> Dict:
-    # the count comes first: its reason string is C12's tamper_detected
-    count = len(ctx.shell("e8", 2).vectors)
-    _require(count == 240, f"norm-2 count {count} != 240")
     report = ctx.classify("e8", 2)
+    # the count comes first: its reason string is C12's tamper_detected
+    _require(report.count == 240, f"norm-2 count {report.count} != 240")
     _require(report.case == E8, f"case {report.case} != E8")
     # the E8 certificate holds the complete spectrum, tightness and identity
     evidence = report.evidence
     _require(evidence["strength"] == 7, f"strength {evidence['strength']} != 7")
     return {
-        "count": count,
+        "count": report.count,
         "spectrum": evidence["spectrum"],
         "strength": evidence["strength"],
         "tight": evidence["tight"],
@@ -171,8 +170,9 @@ def _c06_circle(ctx: VerifyContext) -> Dict:
 def _c07_rank1(ctx: VerifyContext) -> Dict:
     # no later criterion reads these reports, so none is kept in the context
     for a2 in (1, 2, 4, 9):
-        for k, S in ctx.shells(f"scaledz:{a2}", 40).items():
-            report = classify(S, threads=ctx.threads)
+        L = ctx.lattice(f"scaledz:{a2}")
+        for k in range(1, 41):
+            report = classify(L, k, threads=ctx.threads)
             m = math.isqrt(k // a2)
             expected = a2 * m * m == k
             _require(

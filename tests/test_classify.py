@@ -43,15 +43,15 @@ def e8_shell():
 
 
 class TestCheckEquality:
-    def test_triples(self, e8_shell):
+    def test_triples(self):
         # classify's exact (count, bound, equality) triple
-        for shell, triple in [
-            (e8_shell, (240, 240, True)),
-            (enumerate_shell(builtin("dn:4"), 2), (24, 40, False)),
-            (enumerate_shell(builtin("zn:2"), 1), (4, 4, True)),
-            (enumerate_shell(builtin("zn:2"), 3), (0, 12, False)),
+        for name, k, triple in [
+            ("e8", 2, (240, 240, True)),
+            ("dn:4", 2, (24, 40, False)),
+            ("zn:2", 1, (4, 4, True)),
+            ("zn:2", 3, (0, 12, False)),
         ]:
-            report = classify(shell)
+            report = classify(builtin(name), k)
             assert (report.count, report.bound, report.equality) == triple
 
 
@@ -71,7 +71,7 @@ class TestExceptionalSublattices:
         n, L = exceptional
         S = enumerate_shell(L, k)
         assert design_strength(pair_distribution(S)).strength == 5
-        report = classify(S)
+        report = classify(L, k)
         assert (report.count, report.bound) == self.COUNTS[n][k]
         assert report.case == NONE and not report.equality
         assert report.evidence["exclusion"] == exclusion
@@ -103,7 +103,7 @@ class TestBarnesWall16:
         S = enumerate_shell(bw16, 4)
         report = design_strength(pair_distribution(S))
         assert (report.strength, report.capped) == (7, False)
-        eq = classify(S)
+        eq = classify(bw16, 4)
         assert (eq.count, eq.bound, eq.case) == (4320, 341088, NONE)
         assert eq.evidence["exclusion"] == "strength-table"
 
@@ -210,21 +210,11 @@ class TestRecognizeE8:
         tampered = enumerate_shell(verify._tampered_e8(), 2)
         for S, expected in [(e8_shell, True), (tampered, False), (enumerate_shell(builtin("dn:8"), 2), False)]:
             assert recognize_e8(S) is expected
-            assert (classify(S).case == E8) is expected
+            assert (classify(S.lattice, 2).case == E8) is expected
 
 
 class TestCallerBuiltShells:
-    """Shell checks no norms, so classify checks a caller's rows itself."""
-
-    @pytest.mark.parametrize(
-        "k, rows, name",
-        [(1, [[1, 1], [-1, -1]], "zn:2"), (4, [[1], [-1]], "scaledz:1")],
-        ids=["norm-2-rows-as-norm-1", "norm-1-rows-as-norm-4"],
-    )
-    def test_rows_of_another_norm_rejected(self, k, rows, name):
-        # unchecked, the first reads NONE and the second RANK1 equality at k = 4
-        with pytest.raises(PreconditionError, match=f"squared norm {k}"):
-            classify(Shell(k, np.array(rows), builtin(name)))
+    """Shell checks no norms, so reflection_closure checks a caller's rows itself."""
 
     @pytest.mark.parametrize("rows", [1, 7, 4096])
     def test_one_wrong_pair_is_found_in_any_slice(self, monkeypatch, e8_shell, rows):
@@ -233,12 +223,12 @@ class TestCallerBuiltShells:
         e = np.eye(8, dtype=np.int64)[:1]
         S = Shell(2, np.concatenate([e8_shell.vectors, 2 * e, -2 * e]), e8_shell.lattice)
         with pytest.raises(PreconditionError):
-            classify(S)
-        assert classify(e8_shell).case == E8
+            reflection_closure(S)
+        assert reflection_closure(e8_shell)
 
 
 class TestClassify:
-    def test_e8_route_computes_span_and_closure_once(self, e8_shell, monkeypatch):
+    def test_e8_route_computes_span_and_closure_once(self, monkeypatch):
         # the package exports a function named classify, so fetch the module
         mod = importlib.import_module("shellbound.classify")
         calls = []
@@ -248,19 +238,11 @@ class TestClassify:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
-        assert classify(e8_shell).case == E8
+        assert classify(builtin("e8"), 2).case == E8
         assert sorted(calls) == ["reflection_closure", "root_filter", "span_of"]
 
-    def test_unsorted_e8_shell_classifies_e8(self, e8_shell):
-        # antipodal rows out of lexicographic order: the upper half reversed,
-        # with its negation as the lower half; Shell puts them back in order
-        upper = e8_shell.vectors[120:]
-        rows = np.concatenate([-upper, upper[::-1]])
-        assert not np.array_equal(rows, e8_shell.vectors)
-        assert classify(Shell(2, rows, e8_shell.lattice)).case == E8
-
-    def test_e8(self, e8_shell):
-        report = classify(e8_shell)
+    def test_e8(self):
+        report = classify(builtin("e8"), 2)
         assert report.equality and report.case == E8
         assert report.count == report.bound == 240
         ev = report.evidence
@@ -269,44 +251,44 @@ class TestClassify:
         assert ev["span_rank"] == 8 and ev["span_det"] == 1 and ev["span_even"]
 
     def test_cubic(self):
-        report = classify(enumerate_shell(builtin("zn:6"), 1))
+        report = classify(builtin("zn:6"), 1)
         assert report.equality and report.case == ZN
         assert report.count == 12
         assert report.evidence["recognition"] == "orthonormal-system"
         assert report.evidence["orthonormal_count"] == 6
 
     def test_rank_one_square_multiple(self):
-        report = classify(enumerate_shell(builtin("scaledz:1"), 4))
+        report = classify(builtin("scaledz:1"), 4)
         assert report.equality and report.case == RANK1
         assert report.evidence == {"scale": 1, "m": 2}
 
     def test_rank_one_miss(self):
-        report = classify(enumerate_shell(builtin("scaledz:4"), 2))
+        report = classify(builtin("scaledz:4"), 2)
         assert not report.equality and report.case == NONE
         assert report.count == 0
 
     def test_count_exclusion(self):
-        report = classify(enumerate_shell(builtin("dn:4"), 2))
+        report = classify(builtin("dn:4"), 2)
         assert report.case == NONE
         assert (report.count, report.bound) == (24, 40)
         assert report.evidence["exclusion"] == "count"
 
     def test_circle_exclusion(self):
-        report = classify(enumerate_shell(builtin("zn:2"), 3))
+        report = classify(builtin("zn:2"), 3)
         assert report.case == NONE
         assert (report.count, report.bound) == (0, 12)
         assert report.evidence["exclusion"] == "circle"
         assert report.evidence["circle_excluded"] is True
 
     def test_norm_three_exclusion(self):
-        report = classify(enumerate_shell(builtin("zn:3"), 3))
+        report = classify(builtin("zn:3"), 3)
         assert report.case == NONE
         assert report.evidence["exclusion"] == "norm3-filter"
         assert report.evidence["n_from_sum"] == 10
         assert report.evidence["consistent"] is False
 
     def test_strength_table_exclusion(self):
-        report = classify(enumerate_shell(builtin("dn:4"), 5))
+        report = classify(builtin("dn:4"), 5)
         assert report.case == NONE
         assert report.evidence["exclusion"] == "strength-table"
         assert report.evidence["required_strength"] == 19
@@ -314,7 +296,7 @@ class TestClassify:
 
     def test_case_label_matches_equality(self):
         for name, k in (("zn:4", 1), ("e8", 2), ("scaledz:9", 9), ("an:3", 2), ("zn:2", 4)):
-            report = classify(enumerate_shell(builtin(name), k))
+            report = classify(builtin(name), k)
             assert (report.case == NONE) == (not report.equality)
 
     @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:3", "an:2", "dn:4", "e8", "scaledz:2"])
@@ -322,7 +304,7 @@ class TestClassify:
     def test_catalog_soundness(self, name, k):
         # equality on the catalog happens only for the three known families
         L = builtin(name)
-        report = classify(enumerate_shell(L, k))
+        report = classify(L, k)
         if name == "zn:1":
             expected = math.isqrt(k) ** 2 == k
         else:
@@ -336,8 +318,36 @@ class TestClassify:
     def test_no_equality_above_norm_two_in_rank_two_plus(self):
         for name in ("zn:4", "an:3", "dn:4", "e8"):
             for k in (3, 4, 5):
-                report = classify(enumerate_shell(builtin(name), k))
+                report = classify(builtin(name), k)
                 assert not (report.equality and report.dim >= 2 and k >= 3)
+
+    @pytest.mark.parametrize(
+        "name, k, count, case",
+        [("scaledz:2", 8, 2, RANK1), ("e8", 4, 2160, NONE), ("leech", 4, 196560, NONE)],
+    )
+    def test_rank_one_and_norms_past_two_build_no_shell(self, monkeypatch, name, k, count, case):
+        # no route reads these vectors, so the shell is only counted
+        mod = importlib.import_module("shellbound.classify")
+        built = []
+        monkeypatch.setattr(mod, "enumerate_shell", lambda *args: built.append(args))
+        report = classify(builtin(name), k)
+        assert (report.count, report.case, built) == (count, case, [])
+
+    @pytest.mark.parametrize("name, k", [("zn:3", 1), ("e8", 2), ("dn:4", 2), ("zn:2", 2)])
+    def test_norms_one_and_two_search_once(self, monkeypatch, name, k):
+        # the built shell gives the count: no second search counts it again
+        mod = importlib.import_module("shellbound.lattice")
+        searches, search = [], mod._search
+        monkeypatch.setattr(mod, "_search", lambda *args: searches.append(args) or search(*args))
+        classify(builtin(name), k)
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("name", ["scaledz:1", "zn:2"])
+    @pytest.mark.parametrize("k", [0, True], ids=["zero", "bool"])
+    def test_norm_must_be_a_positive_integer(self, name, k):
+        # the count and the build route reject k as shell_count does
+        with pytest.raises(PreconditionError, match="positive integer"):
+            classify(builtin(name), k)
 
 
 _INVARIANCE_LATTICES = (
@@ -370,6 +380,6 @@ class TestBasisInvariance:
     @given(_rebased())
     def test_count_and_case_do_not_depend_on_the_basis(self, case):
         name, k, L = case
-        expected = classify(enumerate_shell(builtin(name), k))
-        report = classify(enumerate_shell(L, k))
+        expected = classify(builtin(name), k)
+        report = classify(L, k)
         assert (report.count, report.case) == (expected.count, expected.case)

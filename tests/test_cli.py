@@ -216,6 +216,11 @@ class TestErrorExits:
         # C08 searches norms 1..6 of zn:2 in one range search
         self._assert_norm_check_fails(monkeypatch, capsys, ["verify-paper", "--criteria", "C08", "--quiet"])
 
+    @pytest.mark.parametrize("k", ["3", "1"], ids=["count", "build"])
+    def test_failed_norm_check_in_classify(self, monkeypatch, capsys, k):
+        # classify counts the norm-3 shell and builds the norm-1 one: both check the search
+        self._assert_norm_check_fails(monkeypatch, capsys, ["classify", "--lattice", "zn:2", "--k", k])
+
     @staticmethod
     def _assert_norm_check_fails(monkeypatch, capsys, argv):
         # the row [1, 1] has norm 2 on zn:2, not the k it is reported with
@@ -262,19 +267,24 @@ class TestBoundedMemory:
     proven bound, whatever the answer and the norm."""
 
     @pytest.mark.parametrize(
-        "args, limit_mb, count",
+        "command, args, limit_mb, expected",
         [
             # the top level alone has 2**22 + 1 children
-            (("--lattice", "zn:2", "--k", str(2**44)), 256, 4),
-            pytest.param(("--lattice", "zn:2", "--k", str(2**52)), 512, 4, marks=pytest.mark.slow),
-            pytest.param(("--lattice", "leech", "--k", "6"), 2048, 16773120, marks=pytest.mark.slow),
+            ("shell", ("--lattice", "zn:2", "--k", str(2**44)), 256, {"count": 4}),
+            pytest.param("shell", ("--lattice", "zn:2", "--k", str(2**52)), 512, {"count": 4},
+                         marks=pytest.mark.slow),
+            pytest.param("shell", ("--lattice", "leech", "--k", "6"), 2048, {"count": 16773120},
+                         marks=pytest.mark.slow),
+            # classify counts a shell that no route reads
+            pytest.param("classify", ("--lattice", "leech", "--k", "6"), 2048,
+                         {"count": 16773120, "case": "NONE"}, marks=pytest.mark.slow),
         ],
-        ids=["zn2-2**44", "zn2-2**52", "leech-6"],
+        ids=["zn2-2**44", "zn2-2**52", "leech-6", "classify-leech-6"],
     )
-    def test_count_fits_the_cap(self, args, limit_mb, count):
-        result = run_capped(limit_mb, "shell", *args)
+    def test_count_fits_the_cap(self, command, args, limit_mb, expected):
+        result = run_capped(limit_mb, command, *args)
         assert result.returncode == 0, result.stderr
-        assert parse_report(result.stdout)["result"]["count"] == count
+        assert parse_report(result.stdout)["result"].items() >= expected.items()
 
 
 class TestJsonable:
@@ -525,31 +535,31 @@ class TestVerifyPaper:
         assert scans == Counter(verify._C11_BUILTINS)
 
     def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
-        # C07 takes the scaled lines from the context's cache, so C08 finds
-        # their norms 1..6 there instead of searching them again; a count is
-        # a search too
-        searched = Counter()
+        # no shell is built twice, and C07 builds none: it counts the scaled
+        # lines, so C08 builds the norms 1..6 that C11 reads once
+        mod = importlib.import_module("shellbound.lattice")
+        built, original = Counter(), mod.enumerate_shells
 
-        def counting(original):
-            def wrapper(L, kmax, kmin=1):
-                searched.update((L.name, k) for k in range(kmin, kmax + 1))
-                return original(L, kmax, kmin)
-            return wrapper
+        def counting(L, kmax, kmin=1):
+            built.update((L.name, k) for k in range(kmin, kmax + 1))
+            return original(L, kmax, kmin)
 
-        monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells))
-        monkeypatch.setattr(verify, "shell_counts", counting(verify.shell_counts))
+        monkeypatch.setattr(mod, "enumerate_shells", counting)
+        monkeypatch.setattr(verify, "enumerate_shells", counting)
+        assert cli.main(["verify-paper", "--criteria", "C07", "--quiet", "--threads", "1"]) == 0
+        assert not built
         assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
-        scaled = {(f"scaledz:{q}", k) for q in (1, 2, 4, 9) for k in range(1, 41)}
-        assert set(searched) == scaled | {(name, k) for name in verify._C08_BUILTINS for k in range(1, 7)}
-        assert max(searched.values()) == 1
+        shared = set(verify._C08_BUILTINS) & set(verify._C11_BUILTINS)
+        assert set(built) == {(name, k) for name in shared for k in range(1, 7)}
+        assert max(built.values()) == 1
 
     def test_rank_one_reports_are_not_kept(self):
-        # no later criterion reads C07's 160 equality reports; its shells stay for C08
+        # no later criterion reads C07's 160 equality reports, and it builds no shell
         ctx = verify.VerifyContext(threads=1, verbose=False)
         verify._c07_rank1(ctx)
         assert not any(name.startswith("scaledz:") for name, k in ctx._reports)
-        assert len(ctx._shells) == 160
+        assert len(ctx._shells) == 0
 
 
 def test_c11_tally_matches_scalar_inner():

@@ -762,6 +762,12 @@ class TestHermiteNormalForm:
         with pytest.raises(ValueError):
             hermite_normal_form([])
 
+    @pytest.mark.parametrize("rows", [[[1], [2, 1]], [[2, 1], [1]], [[0, 1], [1]]])
+    def test_rejects_ragged_rows(self, rows):
+        # zip truncated the longer row: the first gave [[1]], the others an IndexError
+        with pytest.raises(PreconditionError, match="one length"):
+            hermite_normal_form(rows)
+
     @pytest.mark.parametrize("x", [1.5, np.float64(2.0)])
     def test_rejects_non_integer_entries(self, x):
         # int() would truncate them: [[1.5, 0]] gave [[1, 0]]

@@ -31,6 +31,13 @@ def test_traced_classify_records_case_and_shell_size(tmp_path):
     assert ["design.pair_distribution", {"size": 240, "rank": 8}] in spans
 
 
+def test_traced_count_route_records_case_and_builds_no_shell(tmp_path):
+    # classify counts the norm-4 shell of e8, which no route reads
+    spans = [[name, info] for name, _, _, _, info in _trace(tmp_path, "classify", "--lattice", "e8", "--k", "4")]
+    assert ["classify.classify", {"case": "NONE"}] in spans
+    assert not any(name == "lattice.enumerate_shell" for name, _ in spans)
+
+
 def test_traced_criteria_span_their_library_calls(tmp_path):
     # the engine loads after the tracer has wrapped the library, so each
     # criterion's calls nest under its span
