@@ -28,6 +28,7 @@ from .lattice import (
     _CHUNK_ROWS,
     GramLattice,
     Shell,
+    _int_dtype,
     enumerate_shell,
     gram_det,
     gram_products,
@@ -82,9 +83,10 @@ def reflection_closure(S: Shell) -> bool:
     # |<b,a>| <= 2, so images have coordinates of at most 3 max|v|, where the
     # keys sum_j v_j B**(n-1-j) are injective, linear, and sorted like the rows
     B, n = 6 * int(np.abs(V).max(initial=0)) + 1, S.lattice.n
-    dtype = object if B**n >= 2**62 else np.int64
+    dtype = _int_dtype(B**n)
     keys = V.astype(dtype) @ np.array([B ** (n - 1 - j) for j in range(n)], dtype=dtype)
-    for i in range(0, len(V), _CLOSURE_ROWS):
+    # s_a = s_-a, so the upper half's mirrors are all of them
+    for i in range(len(V) // 2, len(V), _CLOSURE_ROWS):
         # s_a is injective, so s_a(S) = S when every key(b) - <b,a> key(a) is in S
         img = keys - gram_products(V[i : i + _CLOSURE_ROWS], S.lattice.gram, V) * keys[i : i + _CLOSURE_ROWS, None]
         if not (keys[np.searchsorted(keys, img).clip(max=len(V) - 1)] == img).all():
@@ -102,8 +104,8 @@ def recognize_e8(S: Shell) -> bool:
 
 
 def _e8_certificate(S: Shell) -> Dict:
-    # recognize_e8's measurements: the span's rank, det and evenness, and reflection closure
-    span = span_of(S.vectors, S.lattice)
+    # recognize_e8's measurements; each lower row negates an upper one, so the upper half spans
+    span = span_of(S.vectors[len(S) // 2 :], S.lattice)
     return {
         "span_rank": span.rank,
         "span_det": gram_det(span),
@@ -131,7 +133,7 @@ def _exclusion_evidence(n: int, k: int) -> Dict:
     }
 
 
-def classify(L: GramLattice, k: int, threads: int = 1) -> EqualityReport:
+def classify(L: GramLattice, k: int) -> EqualityReport:
     """Full equality classification of the norm-k shell of L.
 
     Equality cases carry certification evidence: the complete inner-product
@@ -158,7 +160,7 @@ def classify(L: GramLattice, k: int, threads: int = 1) -> EqualityReport:
         # strength table exclude every k >= 3); reaching it means a bug
         raise CertificationError(f"equality reported at k={k}, n={n}, which is impossible")
 
-    dist = pair_distribution(S, threads=threads)
+    dist = pair_distribution(S)
     sp = spectrum(dist)
     report = design_strength(dist)
     evidence = {

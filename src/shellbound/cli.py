@@ -180,7 +180,7 @@ def _cmd_filter(args) -> int:
 def _cmd_classify(args) -> int:
     from .classify import classify
 
-    report = classify(_lattice_arg(args), args.k, threads=args.threads)
+    report = classify(_lattice_arg(args), args.k)
     _emit("classify", {"lattice": args.lattice, "k": args.k}, report)
     return 0
 
@@ -235,6 +235,8 @@ def _cmd_verify_paper(args) -> int:
             cid = chunk.strip()
             if cid not in known:
                 raise LatticeFormatError(f"unknown criterion id {cid!r}")
+            if cid in selected:
+                raise LatticeFormatError(f"repeated criterion id {cid!r}")
             selected.append(cid)
         criteria = [c for c in criteria if c.cid in selected]
 
@@ -271,8 +273,8 @@ def _add_lattice_args(sub) -> None:
     sub.add_argument("--lattice", required=True,
                      help="builtin name (zn:N, an:N, dn:N, e8, leech, scaledz:Q) or @path to a lattice file")
     sub.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                     help="threads for the pair distribution (spectrum, design, classify; "
-                          "shell accepts and ignores it), at most the usable CPUs (default: all cores)")
+                     help="threads for the pair distribution (spectrum, design; "
+                          "shell and classify accept and ignore it), at most the usable CPUs (default: all cores)")
     sub.add_argument("--dump", metavar="PATH", default=None,
                      help="also write the parsed lattice as a document to PATH")
 

@@ -117,7 +117,7 @@ class Shell:
         # row N-1-i is minus row i: the reversed upper half cancels the lower half
         if N % 2 or (V[: N // 2] + V[N // 2 :][::-1]).any() or (V[1:] == V[:-1]).all(axis=1).any():
             raise PreconditionError(f"shell rows must be distinct +-pairs ({N} rows)")
-        # shells are cached and shared, so nobody may write into them
+        # the checks above hold for the shell's life only while nobody writes into its rows
         V.flags.writeable = False
         for name, value in (("k", k), ("vectors", V), ("lattice", lattice)):
             object.__setattr__(self, name, value)

@@ -1,6 +1,6 @@
 """The acceptance engine behind ``verify-paper``: criteria C01-C12, the
-verification context that caches shells and equality reports, and the C11
-reference tally.
+verification context that serves lattices and caches equality reports, and
+the C11 reference tally.
 
 The CLI imports this module only when a ``verify-paper`` request runs.  So
 ``classify``, ``shell`` and the other requests neither compile it nor load
@@ -30,7 +30,9 @@ from .exactpoly import (
     shell_bound,
 )
 from .filter import circle_exclusion, filter_search, norm2_filter_dimension, norm3_filter_contradiction
-from .lattice import GramLattice, brute_force_shells, builtin, enumerate_shells, shell_counts
+from .lattice import (
+    GramLattice, brute_force_shells, builtin, enumerate_shell, enumerate_shells, shell_count, shell_counts,
+)
 
 
 class CriterionFailure(Exception):
@@ -42,9 +44,9 @@ class SkipCriterion(Exception):
 
 
 class VerifyContext:
-    """Shared state for one verification run: thread budget, slow-test flag,
-    lattice overrides for negative controls, the names of the lattices
-    served, and the shell and equality report caches."""
+    """Shared state for one verification run: the flags, the lattice overrides
+    for negative controls, the names of the lattices served, and the equality
+    reports that more than one criterion reads.  No shell is kept here."""
 
     def __init__(
         self,
@@ -58,7 +60,6 @@ class VerifyContext:
         self.overrides = dict(overrides or {})
         self.verbose = verbose
         self.served: set = set()
-        self._shells: Dict = {}
         self._reports: Dict = {}
 
     def log(self, message: str) -> None:
@@ -69,22 +70,12 @@ class VerifyContext:
         self.served.add(name)
         return self.overrides.get(name) or builtin(name)
 
-    def shell(self, name: str, k: int):
-        return self.shells(name, k)[k]
-
-    def shells(self, name: str, kmax: int) -> Dict:
-        """{k: shell} for 1 <= k <= kmax, from one search unless all are cached."""
-        if any((name, k) not in self._shells for k in range(1, kmax + 1)):
-            for k, S in enumerate_shells(self.lattice(name), kmax).items():
-                self._shells.setdefault((name, k), S)
-        return {k: self._shells[name, k] for k in range(1, kmax + 1)}
-
     def classify(self, name: str, k: int):
-        """The cached equality report of the norm-k shell: the only place a
-        criterion gets an equality certificate from."""
+        """The equality report of the norm-k shell, computed once for the
+        criteria that share it (C02, C03, C09, C12)."""
         key = (name, k)
         if key not in self._reports:
-            self._reports[key] = classify(self.lattice(name), k, threads=self.threads)
+            self._reports[key] = classify(self.lattice(name), k)
         return self._reports[key]
 
 
@@ -172,7 +163,7 @@ def _c07_rank1(ctx: VerifyContext) -> Dict:
     for a2 in (1, 2, 4, 9):
         L = ctx.lattice(f"scaledz:{a2}")
         for k in range(1, 41):
-            report = classify(L, k, threads=ctx.threads)
+            report = classify(L, k)
             m = math.isqrt(k // a2)
             expected = a2 * m * m == k
             _require(
@@ -199,19 +190,14 @@ def _c08_universal_inequality(ctx: VerifyContext) -> Dict:
     checked = 6 * len(_C08_BUILTINS)
     for name in _C08_BUILTINS:
         L = ctx.lattice(name)
-        # C11 reads the shells of the lattices it shares; the others are only counted
-        if name in _C11_BUILTINS:
-            counts = {k: len(S) for k, S in ctx.shells(name, 6).items()}
-        else:
-            counts = shell_counts(L, 6)
-        for k, count in counts.items():
+        for k, count in shell_counts(L, 6).items():
             _require(
                 count <= shell_bound(L.n, k),
                 f"{name} k={k}: count {count} exceeds the bound",
             )
     leech = "skipped (needs --include-slow)"
     if ctx.include_slow:
-        count = len(ctx.shell("leech", 4).vectors)
+        count = shell_count(ctx.lattice("leech"), 4)
         _require(count <= shell_bound(24, 4), "leech k=4 exceeds the bound")
         checked += 1
         leech = count
@@ -231,7 +217,7 @@ def _c10_leech(ctx: VerifyContext) -> Dict:
     if not ctx.include_slow:
         raise SkipCriterion("needs --include-slow")
     ctx.log("  [C10] enumerating the norm-4 shell in rank 24 ...")
-    S = ctx.shell("leech", 4)
+    S = enumerate_shell(ctx.lattice("leech"), 4)
     count = len(S.vectors)
     _require(count == 196560, f"count {count} != 196560")
     _require(count < shell_bound(24, 4), "count does not sit below the bound")
@@ -278,7 +264,7 @@ def _c11_oracles(ctx: VerifyContext) -> Dict:
     for name in _C11_BUILTINS:
         L = ctx.lattice(name)
         slow = brute_force_shells(L, 6)
-        for k, fast in ctx.shells(name, 6).items():
+        for k, fast in enumerate_shells(L, 6).items():
             _require(
                 np.array_equal(fast.vectors, slow[k].vectors),
                 f"{name} k={k}: tree search and box search disagree",

@@ -205,6 +205,12 @@ class TestRecognizeE8:
         with pytest.raises(ValueError):
             recognize_e8(S)
 
+    @pytest.mark.parametrize("name", ["e8", "dn:4", "an:3", "zn:8", "dn:16"])
+    def test_upper_half_spans_the_shell(self, name):
+        # the certificate spans one row per +-pair; the reduced HNF is unique
+        S = enumerate_shell(builtin(name), 2)
+        assert span_of(S.vectors[len(S) // 2 :], S.lattice) == span_of(S.vectors, S.lattice)
+
     def test_agrees_with_classify(self, e8_shell):
         # true on e8; false on the tampered Gram of C12 and on D8, which classify NONE
         tampered = enumerate_shell(verify._tampered_e8(), 2)

@@ -199,6 +199,13 @@ class TestErrorExits:
     def test_unknown_criterion_id(self):
         assert run_cli("verify-paper", "--criteria", "C99", "--quiet").returncode == 2
 
+    def test_repeated_criterion_id(self):
+        # the echoed list would name C01 twice for one row
+        result = run_cli("verify-paper", "--criteria", "C01, C01", "--quiet")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: repeated criterion id 'C01'\n"
+
     def test_failed_certificate(self, monkeypatch, capsys):
         # the package exports a function named classify, so fetch the module
         mod = importlib.import_module("shellbound.classify")
@@ -514,11 +521,10 @@ class TestVerifyPaper:
         assert len(calls) == 24
 
     def test_one_search_and_one_box_scan_per_lattice(self, monkeypatch, capsys):
-        # C08 and C11 cover norms 1..6 of each lattice with one tree search
-        # (shared through the cache, or a count for the lattices only C08
-        # reads) and C11 with one oracle box scan
+        # C08 counts norms 1..6 of each of its lattices with one search; C11
+        # builds them with one search of its own and scans one oracle box
         mod = importlib.import_module("shellbound.lattice")
-        searches, scans = Counter(), Counter()
+        counted, built, scans = Counter(), Counter(), Counter()
 
         def counting(fn, counter):
             def wrapper(L, *args, **kwargs):
@@ -526,17 +532,18 @@ class TestVerifyPaper:
                 return fn(L, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells, searches))
-        monkeypatch.setattr(verify, "shell_counts", counting(verify.shell_counts, searches))
+        monkeypatch.setattr(verify, "shell_counts", counting(verify.shell_counts, counted))
+        monkeypatch.setattr(verify, "enumerate_shells", counting(verify.enumerate_shells, built))
         monkeypatch.setattr(mod, "_box_bounds", counting(mod._box_bounds, scans))
         assert cli.main(["verify-paper", "--criteria", "C08,C11", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
-        assert searches == Counter(set(verify._C08_BUILTINS) | set(verify._C11_BUILTINS))
+        assert counted == Counter(verify._C08_BUILTINS)
+        assert built == Counter(verify._C11_BUILTINS)
         assert scans == Counter(verify._C11_BUILTINS)
 
     def test_no_shell_is_enumerated_twice(self, monkeypatch, capsys):
-        # no shell is built twice, and C07 builds none: it counts the scaled
-        # lines, so C08 builds the norms 1..6 that C11 reads once
+        # C07 and C08 only count, so they build no shell, and C11 builds
+        # each norm 1..6 of its lattices once
         mod = importlib.import_module("shellbound.lattice")
         built, original = Counter(), mod.enumerate_shells
 
@@ -546,20 +553,18 @@ class TestVerifyPaper:
 
         monkeypatch.setattr(mod, "enumerate_shells", counting)
         monkeypatch.setattr(verify, "enumerate_shells", counting)
-        assert cli.main(["verify-paper", "--criteria", "C07", "--quiet", "--threads", "1"]) == 0
-        assert not built
         assert cli.main(["verify-paper", "--criteria", "C07,C08", "--quiet", "--threads", "1"]) == 0
+        assert not built
+        assert cli.main(["verify-paper", "--criteria", "C07,C08,C11", "--quiet", "--threads", "1"]) == 0
         capsys.readouterr()
-        shared = set(verify._C08_BUILTINS) & set(verify._C11_BUILTINS)
-        assert set(built) == {(name, k) for name in shared for k in range(1, 7)}
+        assert set(built) == {(name, k) for name in verify._C11_BUILTINS for k in range(1, 7)}
         assert max(built.values()) == 1
 
     def test_rank_one_reports_are_not_kept(self):
-        # no later criterion reads C07's 160 equality reports, and it builds no shell
+        # no later criterion reads C07's 160 equality reports
         ctx = verify.VerifyContext(threads=1, verbose=False)
         verify._c07_rank1(ctx)
         assert not any(name.startswith("scaledz:") for name, k in ctx._reports)
-        assert len(ctx._shells) == 0
 
 
 def test_c11_tally_matches_scalar_inner():

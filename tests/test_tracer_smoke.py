@@ -46,3 +46,17 @@ def test_traced_criteria_span_their_library_calls(tmp_path):
     assert edges[("cli.criterion.C04", "filter.filter_search")] == 2
     assert edges[("cli.criterion.C11", "design.pair_distribution")] == 47
     assert edges[("cli.criterion.C11", "design.moment_sum")] == 282
+
+
+def test_traced_c08_counts_and_builds_no_shell(tmp_path):
+    # C08 checks counts alone, so no shell is built at any depth under its span
+    spans = _trace(tmp_path, "verify-paper", "--quiet", "--criteria", "C08")
+    c08 = [i for i, (name, *_) in enumerate(spans) if name == "cli.criterion.C08"]
+    assert len(c08) == 1
+
+    def under_c08(i):
+        while i >= 0 and i != c08[0]:
+            i = spans[i][3]
+        return i == c08[0]
+
+    assert not [i for i, (name, *_) in enumerate(spans) if name == "lattice.enumerate_shell" and under_c08(i)]
