@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -145,7 +144,7 @@ def _cmd_spectrum(args) -> int:
     from .design import pair_distribution, spectrum
 
     S = _shell_arg(args)
-    dist = pair_distribution(S, threads=args.threads)
+    dist = pair_distribution(S)
     sp = spectrum(dist)
     result = {
         "count": len(S.vectors),
@@ -159,7 +158,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_design(args) -> int:
     from .design import design_strength, pair_distribution
 
-    report = design_strength(pair_distribution(_shell_arg(args), threads=args.threads), t_max=args.tmax)
+    report = design_strength(pair_distribution(_shell_arg(args)), t_max=args.tmax)
     _emit("design", {"lattice": args.lattice, "k": args.k, "t_max": args.tmax}, report)
     return 0
 
@@ -223,13 +222,15 @@ def _cmd_verify_paper(args) -> int:
         if not source.startswith("@"):
             raise LatticeFormatError(f"override source {source!r} must be an @PATH file reference")
         builtin(name)  # criteria read builtin names only, so any other override would go unread
+        if name in overrides:
+            raise LatticeFormatError(f"repeated override name {name!r}")
         overrides[name] = _load_lattice(source)
         override_echo[name] = source
 
     criteria = acceptance_criteria()
     known = {c.cid for c in criteria}
     selected: Optional[List[str]] = None
-    if args.criteria:
+    if args.criteria is not None:
         selected = []
         for chunk in args.criteria.split(","):
             cid = chunk.strip()
@@ -241,7 +242,6 @@ def _cmd_verify_paper(args) -> int:
         criteria = [c for c in criteria if c.cid in selected]
 
     ctx = VerifyContext(
-        threads=args.threads,
         include_slow=args.include_slow,
         overrides=overrides,
         verbose=not args.quiet,
@@ -269,12 +269,15 @@ def _cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _add_threads_arg(sub) -> None:
+    sub.add_argument("--threads", type=_positive_int, default=None,
+                     help="accepted and ignored: the pair distribution uses every CPU the process may run on")
+
+
 def _add_lattice_args(sub) -> None:
     sub.add_argument("--lattice", required=True,
                      help="builtin name (zn:N, an:N, dn:N, e8, leech, scaledz:Q) or @path to a lattice file")
-    sub.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                     help="threads for the pair distribution (spectrum, design; "
-                          "shell and classify accept and ignore it), at most the usable CPUs (default: all cores)")
+    _add_threads_arg(sub)
     sub.add_argument("--dump", metavar="PATH", default=None,
                      help="also write the parsed lattice as a document to PATH")
 
@@ -325,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-paper", help="run the acceptance criteria table")
     p.add_argument("--include-slow", action="store_true",
                    help="also run the rank-24 enumeration criteria")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    _add_threads_arg(p)
     p.add_argument("--override", action="append", metavar="NAME=@PATH",
                    help="replace a builtin lattice by a file (negative controls)")
     p.add_argument("--criteria", default=None, metavar="IDS",

@@ -9,6 +9,7 @@ proves exact (float32/64, int64 or Python ints), as lattice.gram_products does.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional
@@ -23,11 +24,7 @@ from .exactpoly import (
     gegenbauer,
     shell_bound,
 )
-from .lattice import (
-    Shell,
-    product_dtype,
-    worker_count,
-)
+from .lattice import Shell, product_dtype
 
 _TILE = 512  # rows and columns of one product tile
 
@@ -58,15 +55,27 @@ class DesignReport(NamedTuple):
     capped: bool
 
 
-def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
+def worker_count() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity, else
+    os.cpu_count; taskset caps them): the size of the pair kernel's thread
+    pool, the only pool.  The package pins OpenBLAS to one thread, so no BLAS
+    threads nest under it (see shellbound/__init__.py)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def pair_distribution(S: Shell) -> PairDistribution:
     """Exact ordered-pair counts per integer inner product <y,z>.
 
     Works on antipodal representatives: for j != -k the full count is twice
     the representative count at j plus twice the count at -j, and the count
     at -k is the shell size (each point meets its antipode once).
 
-    Threads walk row strips of _TILE x _TILE tiles over the upper triangle: a
-    diagonal tile counts once, any other twice, as <v,w> = <w,v>.
+    Threads, one per usable CPU (worker_count), walk row strips of _TILE x
+    _TILE tiles over the upper triangle: a diagonal tile counts once, any
+    other twice, as <v,w> = <w,v>.
 
     Raises PreconditionError (bad input) when the shell is empty or has a row
     whose norm is not k; Shell itself guarantees distinct +-pairs.
@@ -106,7 +115,7 @@ def pair_distribution(S: Shell, threads: int = 1) -> PairDistribution:
         return raw
 
     starts = range(0, m, _TILE)
-    workers = worker_count(threads)
+    workers = worker_count()
     if workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import sys
 from typing import NamedTuple, Optional, Sequence
 
@@ -318,18 +317,6 @@ def gram_products(A, gram, B=None) -> np.ndarray:
     return P if dtype is object else P.astype(np.int64)
 
 
-def worker_count(threads: int) -> int:
-    """threads, at least 1 and at most the number of usable CPUs: the cap on
-    the pair kernel's thread pool, the only pool.  Importing the package pins
-    OpenBLAS to one thread (unless OPENBLAS_NUM_THREADS is already set or
-    numpy was imported first), so no BLAS threads nest under the pool."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(int(threads or 1), cpus))
-
-
 # ---------------------------------------------------------------------------
 # shell enumeration
 #
@@ -477,18 +464,25 @@ def _check_norms(*norms) -> None:
         raise PreconditionError("k must be a positive integer")
 
 
-def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
-    """{k: Shell} of all lattice vectors of squared norm k, for every k from
-    kmin to kmax, from one exact search in a pairwise reduced basis."""
+def _checked_search(L: GramLattice, kmin: int, kmax: int):
+    """The (rows, norms) chunks of one exact search in a pairwise reduced
+    basis, each mapped back to L's basis and norm-checked there exactly."""
     _check_norms(kmin, kmax)
     R, U = _pair_reduce(L)
-    reps, norms = [np.empty((0, L.n), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for rows, nrm in _search(R, kmin, kmax):
+    for rows, norms in _search(R, kmin, kmax):
         if U is not None:
             # x = U y by the one exact product: x_j = y^T (U^T) e_j
             rows = gram_products(rows, [list(col) for col in zip(*U)], np.eye(L.n, dtype=np.int64))
-        if not (gram_products(rows, L.gram) == nrm).all():
+        if not (gram_products(rows, L.gram) == norms).all():
             raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+        yield rows, norms
+
+
+def enumerate_shells(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
+    """{k: Shell} of all lattice vectors of squared norm k, for every k from
+    kmin to kmax, from one checked search."""
+    reps, norms = [np.empty((0, L.n), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for rows, nrm in _checked_search(L, kmin, kmax):
         reps.append(rows)
         norms.append(nrm)
     reps, norms = np.concatenate(reps), np.concatenate(norms)
@@ -505,16 +499,12 @@ def enumerate_shell(L: GramLattice, k: int) -> Shell:
 
 def shell_counts(L: GramLattice, kmax: int, kmin: int = 1) -> dict:
     """{k: number of lattice vectors of squared norm k} for kmin <= k <= kmax,
-    from the search of enumerate_shells with no shell built: each chunk is
-    norm-checked exactly in the reduced basis, counted twice (the search
-    emits one vector per +-pair, each once, so nothing is sorted) and
-    dropped."""
-    _check_norms(kmin, kmax)
-    R, _ = _pair_reduce(L)
+    from the checked search of enumerate_shells with no shell built: each
+    chunk is counted twice (the search emits one vector per +-pair, each
+    once, so nothing is sorted) and dropped."""
+    _check_norms(kmin, kmax)  # the search is lazy: check before sizing the tally
     tally = np.zeros(kmax - kmin + 1, dtype=np.int64)
-    for rows, norms in _search(R, kmin, kmax):
-        if not (gram_products(rows, R.gram) == norms).all():
-            raise CertificationError(f"a vector of the norm-{kmin}..{kmax} search fails the exact norm check")
+    for _, norms in _checked_search(L, kmin, kmax):
         tally += np.bincount((norms - kmin).astype(np.intp), minlength=len(tally))
     return {k: 2 * c for k, c in enumerate(tally.tolist(), kmin)}
 

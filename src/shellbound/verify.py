@@ -50,12 +50,10 @@ class VerifyContext:
 
     def __init__(
         self,
-        threads: int = 1,
         include_slow: bool = False,
         overrides: Optional[Dict[str, GramLattice]] = None,
         verbose: bool = True,
     ):
-        self.threads = threads
         self.include_slow = include_slow
         self.overrides = dict(overrides or {})
         self.verbose = verbose
@@ -222,7 +220,7 @@ def _c10_leech(ctx: VerifyContext) -> Dict:
     _require(count == 196560, f"count {count} != 196560")
     _require(count < shell_bound(24, 4), "count does not sit below the bound")
     ctx.log("  [C10] pair distribution over 196560 vectors ...")
-    dist = pair_distribution(S, threads=ctx.threads)
+    dist = pair_distribution(S)
     sp = spectrum(dist)
     _require(set(dist.counts) == {-4, -2, -1, 0, 1, 2}, f"spectrum {sp.values} unexpected")
     report = design_strength(dist)
@@ -302,7 +300,6 @@ def _c12_negative_controls(ctx: VerifyContext) -> Dict:
     _require(z8.count == 112, f"zn:8 norm-2 count {z8.count} != 112")
 
     sub = VerifyContext(
-        threads=ctx.threads,
         include_slow=False,
         overrides={"e8": _tampered_e8()},
         verbose=False,

@@ -23,7 +23,6 @@ CRITERIA = {c.cid: c for c in acceptance_criteria()}
 @pytest.fixture(scope="module")
 def ctx(request):
     return VerifyContext(
-        threads=1,
         include_slow=request.config.getoption("--runslow"),
         verbose=False,
     )

@@ -206,6 +206,27 @@ class TestErrorExits:
         assert result.stdout == ""
         assert result.stderr == "error: repeated criterion id 'C01'\n"
 
+    def test_repeated_override_name(self, tmp_path):
+        # the later file would silently replace the earlier one, so the
+        # negative control d8 would go unread and C03 would pass
+        paths = []
+        for name in ("dn:8", "e8"):
+            path = tmp_path / f"{name.replace(':', '')}.json"
+            path.write_text(lattice_to_document(builtin(name)))
+            paths.append(path)
+        result = run_cli("verify-paper", "--criteria", "C03", "--quiet",
+                         "--override", f"e8=@{paths[0]}", "--override", f"e8=@{paths[1]}")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: repeated override name 'e8'\n"
+
+    def test_empty_criteria_list(self):
+        # an empty selection ran all 12 criteria, though "," exits 2
+        result = run_cli("verify-paper", "--criteria", "", "--quiet")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: unknown criterion id ''\n"
+
     def test_failed_certificate(self, monkeypatch, capsys):
         # the package exports a function named classify, so fetch the module
         mod = importlib.import_module("shellbound.classify")
@@ -248,7 +269,7 @@ class TestErrorExits:
     def test_foreign_value_error_keeps_its_traceback(self, monkeypatch):
         # a ValueError the package did not raise as a precondition is a bug,
         # not exit 3
-        def broken(threads):
+        def broken():
             raise ValueError("operands could not be broadcast")
 
         monkeypatch.setattr(importlib.import_module("shellbound.design"), "worker_count", broken)
@@ -392,15 +413,29 @@ class TestDeterminism:
         b = run_cli("classify", "--lattice", "e8", "--k", "2", check=True).stdout
         assert a == b
 
-    def test_threads_do_not_change_bytes(self):
-        a = run_cli("spectrum", "--lattice", "dn:4", "--k", "2", "--threads", "1", check=True).stdout
-        b = run_cli("spectrum", "--lattice", "dn:4", "--k", "2", "--threads", "2", check=True).stdout
-        assert a == b
+    def test_threads_do_not_change_bytes(self, capsys):
+        # --threads is accepted and ignored; a value below 1 is still an input error
+        for argv in (
+            ["shell", "--lattice", "dn:4", "--k", "2"],
+            ["spectrum", "--lattice", "dn:4", "--k", "2"],
+            ["design", "--lattice", "e8", "--k", "6"],  # 7 strips: the pool starts on 2 or more CPUs
+            ["classify", "--lattice", "e8", "--k", "2"],
+            ["verify-paper", "--criteria", "C11", "--quiet"],
+        ):
+            outputs = []
+            for flag in ([], ["--threads", "1"], ["--threads", "7"]):
+                assert cli.main(argv + flag) == 0, argv + flag
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] and outputs == [outputs[0]] * 3, argv
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--threads", "0"])
+            assert exc.value.code == 2, argv
+            capsys.readouterr()
 
 
 class TestNoProcessPool:
     def test_threads_start_no_process(self, monkeypatch):
-        # with two usable CPUs, --threads 2 may use threads but never processes
+        # with two usable CPUs the pair kernel may use threads but never processes
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
@@ -562,7 +597,7 @@ class TestVerifyPaper:
 
     def test_rank_one_reports_are_not_kept(self):
         # no later criterion reads C07's 160 equality reports
-        ctx = verify.VerifyContext(threads=1, verbose=False)
+        ctx = verify.VerifyContext(verbose=False)
         verify._c07_rank1(ctx)
         assert not any(name.startswith("scaledz:") for name, k in ctx._reports)
 

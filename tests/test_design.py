@@ -1,3 +1,4 @@
+import os
 import time
 import tracemalloc
 from collections import Counter
@@ -74,15 +75,32 @@ class TestPairDistribution:
             n_vec = len(S.vectors)
             assert sum(dist.counts.values()) == n_vec * (n_vec - 1)
 
-    def test_threads_do_not_change_counts(self):
-        S = enumerate_shell(builtin("zn:4"), 2)
-        assert pair_distribution(S).counts == pair_distribution(S, threads=2).counts
+    def test_threads_do_not_change_counts(self, monkeypatch):
+        # 3360 representatives in 7 strips: two usable CPUs start a real pool
+        S = enumerate_shell(builtin("e8"), 6)
+        counts = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            counts.append(pair_distribution(S).counts)
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) == 6720 * 6719
 
-    def test_threads_capped_at_usable_cpus(self, two_cpu_executors):
-        S = enumerate_shell(builtin("e8"), 6)  # 6720 vectors, several blocks
-        serial = pair_distribution(S).counts
-        assert pair_distribution(S, threads=10**6).counts == serial
+    def test_threads_capped_at_usable_cpus(self, monkeypatch, two_cpu_executors):
+        # the pool has one thread per usable CPU, and one CPU constructs none
+        S = enumerate_shell(builtin("e8"), 6)
+        pooled = pair_distribution(S).counts
         assert two_cpu_executors == [2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert pair_distribution(S).counts == pooled
+        assert two_cpu_executors == [2]
+
+    def test_worker_count_without_cpu_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to cpu_count, which may be unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert design.worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert design.worker_count() == 1
 
     @pytest.mark.parametrize(
         "q, dtype",
@@ -123,15 +141,16 @@ class TestPairDistribution:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_reduced_gram())
-    def test_kernel_matches_the_reference_tally(self, two_cpu_executors, L):
+    def test_kernel_matches_the_reference_tally(self, monkeypatch, two_cpu_executors, L):
         # the kernel's integer keys, with the diagonal <y,y> = k, are the keys
         # of the Python-int tally that C11 checks the moments against
         for k, S in enumerate_shells(L, 4).items():
             if len(S):
                 tally = verify._inner_tally(S)
-                for threads in (1, 2):
-                    dist = pair_distribution(S, threads=threads)
-                    assert Counter(dist.counts) + Counter({k: len(S)}) == tally, (L.gram, k, threads)
+                for cpus in ({0}, {0, 1}):
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                    dist = pair_distribution(S)
+                    assert Counter(dist.counts) + Counter({k: len(S)}) == tally, (L.gram, k, cpus)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -146,15 +165,17 @@ class TestPairDistribution:
         # odd tiles leave ragged edges and many off-diagonal tiles; scaling the
         # Gram by 3 or 64 moves norm k to 3k or 64k, so tiles are tallied by
         # bincount or, below 2k+1 products (64 E8 at k = 128 in tiles of
-        # fewer than 257), by unique; real threads split the row strips
+        # fewer than 257), by unique; on two usable CPUs real threads split
+        # the row strips
         monkeypatch.setattr(design, "_TILE", tile)
         k = min(k, 2) if L.n == 8 else k  # E8 shells past k = 2 hold thousands of vectors
         S = enumerate_shell(GramLattice([[scale * g for g in row] for row in L.gram]), scale * k)
         if len(S):
             tally = verify._inner_tally(S)
-            for threads in (1, 2):
-                dist = pair_distribution(S, threads=threads)
-                assert Counter(dist.counts) + Counter({S.k: len(S)}) == tally, (L.gram, S.k, tile, threads)
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+                dist = pair_distribution(S)
+                assert Counter(dist.counts) + Counter({S.k: len(S)}) == tally, (L.gram, S.k, tile, cpus)
 
     def test_working_set_is_one_tile(self):
         # 3360 representatives: one float32 tile of 512 x 512 products is
@@ -171,13 +192,14 @@ class TestPairDistribution:
         assert peak < 16 * 2**20
 
     @pytest.mark.slow
-    def test_leech_minimal_vectors(self):
+    def test_leech_minimal_vectors(self, monkeypatch):
         # Conway-Sloane, SPLAG ch. 4: each of the 196560 minimal vectors meets
         # 4600 others at <y,z> = +-2, 47104 at +-1 and 93150 at 0; the shell is
-        # a tight 11-design
+        # a tight 11-design.  Two usable CPUs tally it in a pool of two threads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         S = enumerate_shell(builtin("leech"), 4)
         N = 196560
-        dist = pair_distribution(S, threads=2)
+        dist = pair_distribution(S)
         assert dist.counts == {-4: N, -2: N * 4600, -1: N * 47104, 0: N * 93150, 1: N * 47104, 2: N * 4600}
         report = design_strength(dist)
         assert (report.strength, report.tight, report.capped) == (11, True, False)

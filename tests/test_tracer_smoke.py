@@ -13,8 +13,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _trace(tmp_path, *request):
-    """The spans of one request run through the tracer script."""
+def _run_tracer(tmp_path, *request):
+    """The run report of one request run through the tracer script."""
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
@@ -22,7 +22,12 @@ def _trace(tmp_path, *request):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(spans_out.read_text())["spans"]
+    return json.loads(spans_out.read_text())
+
+
+def _trace(tmp_path, *request):
+    """The spans of one request run through the tracer script."""
+    return _run_tracer(tmp_path, *request)["spans"]
 
 
 def test_traced_classify_records_case_and_shell_size(tmp_path):
@@ -60,3 +65,14 @@ def test_traced_c08_counts_and_builds_no_shell(tmp_path):
         return i == c08[0]
 
     assert not [i for i, (name, *_) in enumerate(spans) if name == "lattice.enumerate_shell" and under_c08(i)]
+
+
+def test_traced_multi_strip_kernel_starts_no_process(tmp_path):
+    # 3360 representatives in 7 strips of 512 rows: on 2 or more usable CPUs
+    # the kernel tallies them in a thread pool, never a process pool
+    report = _run_tracer(tmp_path, "design", "--lattice", "e8", "--k", "6")
+    spans = [[name, info] for name, _, _, _, info in report["spans"]]
+    assert [s for s in spans if s[0] == "design.pair_distribution"] == [
+        ["design.pair_distribution", {"size": 6720, "rank": 8}]
+    ]
+    assert report["process_pools"] == 0
