@@ -56,10 +56,12 @@ class GramLattice:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise InvalidGramError("gram matrix must be square and non-empty")
-        for row in rows:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise InvalidGramError("gram entries must be integers")
+        try:  # operator.index reads numpy integers as ints; it refuses floats and np.True_
+            if any(isinstance(x, bool) for row in rows for x in row):
+                raise TypeError
+            rows = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            raise InvalidGramError("gram entries must be integers") from None
         for i in range(n):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
@@ -94,8 +96,8 @@ class Shell:
     sorted lexicographically, and raises PreconditionError unless k is a
     positive int, the rows are signed integers (or Python ints in an object
     array) with one column per basis vector of the lattice, and they are
-    distinct +-pairs, so row count-1-i is the negation of row i.  Its
-    attributes cannot be rebound, and shells compare by identity."""
+    distinct +-pairs of squared norm k, so row count-1-i is the negation of
+    row i.  Its attributes cannot be rebound, and shells compare by identity."""
 
     __slots__ = ("k", "vectors", "lattice")
 
@@ -116,6 +118,9 @@ class Shell:
         # row N-1-i is minus row i: the reversed upper half cancels the lower half
         if N % 2 or (V[: N // 2] + V[N // 2 :][::-1]).any() or (V[1:] == V[:-1]).all(axis=1).any():
             raise PreconditionError(f"shell rows must be distinct +-pairs ({N} rows)")
+        # one row of each +-pair carries the norm of both
+        if not (gram_products(V[N // 2 :], lattice.gram) == k).all():
+            raise PreconditionError(f"shell rows must have squared norm {k}")
         # the checks above hold for the shell's life only while nobody writes into its rows
         V.flags.writeable = False
         for name, value in (("k", k), ("vectors", V), ("lattice", lattice)):

@@ -20,7 +20,7 @@ from shellbound.design import (
     pair_distribution,
     spectrum,
 )
-from shellbound.errors import CertificationError, InvalidGramError
+from shellbound.errors import CertificationError, InvalidGramError, PreconditionError
 from shellbound.exactpoly import Poly, gegenbauer, shell_bound
 from shellbound.lattice import (
     GramLattice,
@@ -129,9 +129,9 @@ class TestPairDistribution:
             Shell(1, np.array([[-1, 0], [0, 1], [1, 0]]), builtin("zn:2"))
 
     def test_wrong_norm_rejected(self):
-        S = Shell(1, np.array([[-1, -1], [1, 1]]), builtin("zn:2"))
-        with pytest.raises(ValueError):
-            pair_distribution(S)
+        # rows of norm 2 never reach the kernel as a norm-1 shell
+        with pytest.raises(PreconditionError, match="squared norm 1"):
+            Shell(1, np.array([[-1, -1], [1, 1]]), builtin("zn:2"))
 
     def test_rows_out_of_antipodal_order_rejected(self):
         # two norm-1 vectors that are not a +-pair: counted as one pair they

@@ -67,6 +67,16 @@ class TestGramLattice:
             GramLattice([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidGramError):
             GramLattice([[True, False], [False, True]])
+        for x in (np.True_, np.float64(2.0)):  # what operator.index refuses
+            with pytest.raises(InvalidGramError, match="integers"):
+                GramLattice([[x, 1], [1, 2]])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_numpy_integer_entries_read_as_ints(self, dtype):
+        a2 = GramLattice([[2, -1], [-1, 2]])
+        for L in (GramLattice(np.array(a2.gram, dtype=dtype)), GramLattice([[dtype(2), -1], [-1, dtype(2)]])):
+            assert L.gram == a2.gram and {type(x) for row in L.gram for x in row} == {int}
+            assert L == a2 and hash(L) == hash(a2)
 
     def test_equality_and_hash(self):
         a = GramLattice([[1, 0], [0, 1]])
@@ -358,6 +368,22 @@ def _fibonacci_z2(m):
 _SHELL_CASES = [(name, k) for name in ("zn:2", "an:3", "dn:4", "e8", "scaledz:4") for k in range(1, 5)]
 
 
+@st.composite
+def _pair_reduced_gram(draw):
+    """A positive definite Gram matrix of rank 2 to 4 with 2|g_ij| <= g_jj,
+    diagonal at most 4: a basis the search runs in as given."""
+    n = draw(st.integers(2, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = draw(st.integers(1, 4))
+    for i in range(n):
+        for j in range(i):
+            bound = min(gram[i][i], gram[j][j]) // 2
+            gram[i][j] = gram[j][i] = draw(st.integers(-bound, bound))
+    assume(_elimination(gram) is not None)
+    return GramLattice(gram)
+
+
 class TestShellArray:
     # zn:2 at k=3 and scaledz:4 at k=1..3 are empty; scaledz:1 at 2**126 and
     # 10**40 has coordinates beyond int64
@@ -451,6 +477,28 @@ class TestShellArray:
         S, T = Shell(1, rows, builtin("zn:2")), Shell(1, rows, builtin("zn:2"))
         assert S == S and S != T
         assert len({S, T}) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), L=_pair_reduced_gram(), big=st.booleans())
+    def test_builds_exactly_when_every_row_has_norm_k(self, data, L, big):
+        # distinct +-pairs of random rows, scaled by 2**63 past int64 when big,
+        # against a random k or, keeping only its rows, a norm that occurs
+        vec = st.lists(st.integers(-2, 2), min_size=L.n, max_size=L.n).filter(any)
+        reps = sorted({max(tuple(v), tuple(-x for x in v)) for v in data.draw(st.lists(vec, max_size=6))})
+        k = data.draw(st.integers(1, 40))
+        if reps and data.draw(st.booleans()):
+            norms = [inner(L, v, v) for v in reps]
+            k = data.draw(st.sampled_from(norms))
+            reps = [v for v, q in zip(reps, norms) if q == k]
+        scale = 2**63 if big else 1
+        rows = [[scale * s * x for x in v] for v in reps for s in (1, -1)]
+        V, k = np.array(rows, dtype=object).reshape(-1, L.n), scale**2 * k
+        if all(inner(L, v, v) == k for v in rows):
+            S = Shell(k, V, L)
+            assert len(S) == len(rows) and S.vectors.dtype == (object if big and rows else np.int64)
+        else:
+            with pytest.raises(PreconditionError, match=f"squared norm {k}"):
+                Shell(k, V, L)
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda S: pickle.loads(pickle.dumps(S))])
     def test_copies_rebuild_a_checked_shell(self, clone):
@@ -562,22 +610,6 @@ class TestBatchedShells:
             assert np.array_equal(S.vectors, enumerate_shell(L, k).vectors)
             assert len(S) == len(enumerate_shell(builtin(name), k))
             assert (gram_products(S.vectors, L.gram) == k).all()
-
-
-@st.composite
-def _pair_reduced_gram(draw):
-    """A positive definite Gram matrix of rank 2 to 4 with 2|g_ij| <= g_jj,
-    diagonal at most 4: a basis the search runs in as given."""
-    n = draw(st.integers(2, 4))
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = draw(st.integers(1, 4))
-    for i in range(n):
-        for j in range(i):
-            bound = min(gram[i][i], gram[j][j]) // 2
-            gram[i][j] = gram[j][i] = draw(st.integers(-bound, bound))
-    assume(_elimination(gram) is not None)
-    return GramLattice(gram)
 
 
 class TestShellCounts:
