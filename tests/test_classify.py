@@ -230,11 +230,15 @@ class TestRecognizeE8:
 
 
 class TestCallerBuiltShells:
-    def test_one_wrong_pair_is_refused_by_shell(self, e8_shell):
-        # the pair +-2e_0, of norm 8, among the 240 roots
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_one_wrong_pair_is_found_in_any_slice(self, e8_shell, rows):
+        # the pair +-2e_0, of norm 8, among the first `rows` +-pairs of the 240
+        # roots (all 120 of them for 4096): Shell refuses it in every slice
+        half = e8_shell.vectors[len(e8_shell) // 2 :][:rows]
+        assert len(Shell(2, np.concatenate([half, -half]), e8_shell.lattice)) == 2 * min(rows, 120)
         e = np.eye(8, dtype=np.int64)[:1]
         with pytest.raises(PreconditionError, match="squared norm 2"):
-            Shell(2, np.concatenate([e8_shell.vectors, 2 * e, -2 * e]), e8_shell.lattice)
+            Shell(2, np.concatenate([half, -half, 2 * e, -2 * e]), e8_shell.lattice)
         assert reflection_closure(e8_shell)
 
 
